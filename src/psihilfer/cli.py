@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .errors import (ConfigParseError, DomainViolation, ExprDomainError,
                      PsiHilferError, ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
 from .psi_maps import PsiMap, make_psi, psi_from_config
-from .special_fn import MLSeriesParams, kilbas_saigo, log_gamma, mittag_leffler2
+from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -224,7 +223,6 @@ def _cmd_solve(args) -> int:
     side_car = {
         "chi": report.chi,
         "chi_formula": report.chi_formula,
-        "chi_source": report.chi_source,
         "iterations": report.iterations,
         "deltas": list(report.weighted_deltas),
         "apriori_bounds": list(report.apriori_bounds),
@@ -318,25 +316,13 @@ def _cmd_bounds(args) -> int:
                                    xi=cfg.xi, y_a=cfg.y_a, rhs=cfg.rhs,
                                    k_box=cfg.k_box)
     p = cfg.params
-    if cfg.L_override is not None:
-        l_used = cfg.L_override
-    else:
-        w0c = cfg.y_a * math.exp(-log_gamma(p.zeta))
-        scout = build_grid(cfg.psi, cfg.a, cfg.a + cfg.xi, max(cfg.n, 64))
-        if p.zeta == 1.0:
-            y0_vals = np.full(scout.n, w0c)
-        else:
-            y0_vals = w0c * scout.x_pow(p.zeta - 1.0)[1:]
-        l_used = rhs_expr.lipschitz_estimate(
-            cfg.rhs, (cfg.a, cfg.a + cfg.xi),
-            (float(np.min(y0_vals)) - cfg.k_box,
-             float(np.max(y0_vals)) + cfg.k_box))
+    scout = build_grid(cfg.psi, cfg.a, cfg.a + cfg.xi, max(cfg.n, 64))
+    l_used, m_used = picard.estimate_constants(problem, scout, cfg.L_override)
     if args.norm_f is not None:
         norm_f = args.norm_f
         source = "user-norm-f"
     else:
-        scout = build_grid(cfg.psi, cfg.a, cfg.a + cfg.xi, max(cfg.n, 64))
-        norm_f = picard._measure_m(problem, scout, l_used)
+        norm_f = m_used
         source = "measured-M"
     chi = picard.existence_interval(problem, norm_f)
     out = [
@@ -351,8 +337,9 @@ def _cmd_bounds(args) -> int:
                                                   p, cfg.psi, cfg.a, chi)
         for mth, val in enumerate(seq):
             out.append(f"apriori[{mth}] = {_fmt(val)}")
-        delta = abs(args.z_a - cfg.y_a)
-        cd = picard.continuous_dependence_bound(cfg.y_a, args.z_a, l_used,
+        z_a = cfg.y_a + 0.1 if args.z_a is None else args.z_a
+        delta = abs(z_a - cfg.y_a)
+        cd = picard.continuous_dependence_bound(cfg.y_a, z_a, l_used,
                                                 p, cfg.psi, cfg.a, chi)
         out.append(f"continuous_dependence(|dy_a|={_fmt(delta)}) = {_fmt(cd)}")
     print("\n".join(out))
@@ -453,9 +440,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bounds" and args.z_a is None:
-            cfg_peek = load_config(args.config)
-            args.z_a = cfg_peek.y_a + 0.1
         return args.func(args)
     except ValidationError as exc:
         _fail("validation", "configuration is invalid",

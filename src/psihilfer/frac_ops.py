@@ -202,6 +202,15 @@ def _abel_kernels(eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(cl, 0.0), np.maximum(cr, 0.0)
 
 
+def _abel_convolve(g: np.ndarray, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """Product-rule sums at every node: out[j] = sum over the panels left
+    of node j of cl(d) * g(left end) + cr(d) * g(right end), out[0] = 0."""
+    n = len(cl)
+    out = np.zeros(n + 1)
+    out[1:] = np.convolve(g, cl)[:n] + np.convolve(g[1:], cr)[:n]
+    return out
+
+
 def _weighted_moment_matrix(eta: float, zeta: float, h: float, n: int) -> np.ndarray:
     """Quadrature matrix C with (C @ w)_j = (j h)^(1-zeta) * (I h)(t_j).
 
@@ -285,11 +294,7 @@ class FracIntegralOperator:
                 "plain samples must be finite; use weighted mode for "
                 "functions that are singular at the left endpoint"
             )
-        out = np.zeros(self.grid.n + 1)
-        full_l = np.convolve(g, self._cl)
-        full_r = np.convolve(g[1:], self._cr)
-        out[1:] = full_l[:self.grid.n] + full_r[:self.grid.n]
-        return out
+        return _abel_convolve(g, self._cl, self._cr)
 
     def apply_weighted(self, w: np.ndarray) -> np.ndarray:
         """Weighted-form integral of weighted samples.

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, GridTooCoarse, ParamViolation
-from .frac_ops import (OrderParams, WeightedGridFunction, _abel_kernels,
-                       build_grid)
+from .frac_ops import (OrderParams, WeightedGridFunction, _abel_convolve,
+                       _abel_kernels, build_grid)
 from .psi_maps import PsiMap
 from .rhs_expr import RhsExpr
 from .special_fn import ks_array, log_gamma, ml2_array
@@ -103,10 +103,7 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
         e_mid = ml2_array(p.eta, p.eta, mid)
         cl, cr = _abel_kernels(p.eta, n)
         scale = grid.h ** p.eta
-        kl = cl * e_mid * scale
-        kr = cr * e_mid * scale
-        conv = np.zeros(n + 1)
-        conv[1:] = (np.convolve(fv, kl)[:n] + np.convolve(fv[1:], kr)[:n])
+        conv = _abel_convolve(fv, cl * e_mid * scale, cr * e_mid * scale)
         w = w + grid.x_pow(1.0 - p.zeta) * conv
     return WeightedGridFunction(grid, p.zeta, w)
 

@@ -71,9 +71,9 @@ class SolveReport:
     after m iterations, and ``y0_gap_ratios[m]`` the measured maximum of
     |w_m - w_0| / (Psi(t)-Psi(a))^eta used by the first-iterate bound.
     ``chi`` is the horizon actually solved on; ``chi_formula`` the value
-    produced by the existence-interval formula with ``chi_source``
-    naming the norm that entered it.  When the Lipschitz estimate is
-    zero the bounds arrays hold the L -> 0 limits.
+    produced by the existence-interval formula with the measured M.
+    When the Lipschitz estimate is zero the bounds arrays hold the
+    L -> 0 limits.
     """
 
     iterations: int = 0
@@ -85,7 +85,6 @@ class SolveReport:
     M_used: float = 0.0
     L_used: float = 0.0
     chi_formula: float = 0.0
-    chi_source: str = "measured-M"
     box_exit: bool = False
     y0_gap_ratios: list = field(default_factory=list)
     history: list | None = None
@@ -137,22 +136,38 @@ def picard_step(rhs: RhsExpr, grid: PsiGrid, op: FracIntegralOperator,
     return w0_const + op.apply_weighted(phi)
 
 
-def _measure_m(problem: CauchyProblem, grid: PsiGrid, l_used: float) -> float:
-    """Weighted sup of f along the initial iterate, plus Lipschitz slack
-    covering the whole box."""
+def estimate_constants(problem: CauchyProblem, scout: PsiGrid,
+                       L_override: float | None = None) -> tuple[float, float]:
+    """Lipschitz constant L and weighted bound M of f on the trust box.
+
+    L is ``L_override`` when given, else estimated on the box of radius
+    k_box around the initial iterate at the scout nodes.  M is the
+    weighted sup of f along the initial iterate plus Lipschitz slack
+    covering the whole box.
+    """
     p = problem.params
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
-    xw = grid.x_pow(1.0 - p.zeta)
+    xw = scout.x_pow(1.0 - p.zeta)
     if p.zeta == 1.0:
-        phi = problem.rhs.eval_many(grid.nodes, np.full(grid.n + 1, w0c))
-        m0 = float(np.max(np.abs(phi)))
+        y0 = np.full(scout.n + 1, w0c)
     else:
-        y0 = w0c * grid.x_pow(p.zeta - 1.0)[1:]
-        phi = xw[1:] * problem.rhs.eval_many(grid.nodes[1:], y0)
+        y0 = w0c * scout.x_pow(p.zeta - 1.0)[1:]
+    if L_override is not None:
+        if not L_override > 0:
+            raise DomainViolation("L_override must be positive")
+        l_used = float(L_override)
+    else:
+        l_used = lipschitz_estimate(problem.rhs,
+                                    (problem.a, problem.a + problem.xi),
+                                    (float(np.min(y0)) - problem.k_box,
+                                     float(np.max(y0)) + problem.k_box))
+    if p.zeta == 1.0:
+        m0 = float(np.max(np.abs(problem.rhs.eval_many(scout.nodes, y0))))
+    else:
+        phi = xw[1:] * problem.rhs.eval_many(scout.nodes[1:], y0)
         phi0 = 3.0 * phi[0] - 3.0 * phi[1] + phi[2]
         m0 = max(float(np.max(np.abs(phi))), abs(phi0))
-    slack = l_used * problem.k_box * float(np.max(xw))
-    return m0 + slack
+    return l_used, m0 + l_used * problem.k_box * float(np.max(xw))
 
 
 def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
@@ -178,22 +193,7 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
 
     scout = build_grid(problem.psi, problem.a, problem.a + problem.xi, n)
-    if L_override is not None:
-        if not L_override > 0:
-            raise DomainViolation("L_override must be positive")
-        l_used = float(L_override)
-    else:
-        if p.zeta == 1.0:
-            y0_vals = np.full(n, w0c)
-        else:
-            y0_vals = w0c * scout.x_pow(p.zeta - 1.0)[1:]
-        y_lo = float(np.min(y0_vals)) - problem.k_box
-        y_hi = float(np.max(y0_vals)) + problem.k_box
-        l_used = lipschitz_estimate(problem.rhs,
-                                    (problem.a, problem.a + problem.xi),
-                                    (y_lo, y_hi))
-
-    m_used = _measure_m(problem, scout, l_used)
+    l_used, m_used = estimate_constants(problem, scout, L_override)
     chi_formula = existence_interval(problem, m_used)
     if horizon is None:
         chi_used = chi_formula

@@ -9,11 +9,14 @@ and the three-parameter Kilbas-Saigo generalization
     E[eta, m, l](z) = sum_k c_k z^k,
     c_0 = 1,  c_k = prod_{j<k} Gamma(eta*(j*m+l)+1) / Gamma(eta*(j*m+l+1)+1).
 
-Series terms are accumulated in 80-bit extended precision.  For integer
-eta the Gamma ratio between consecutive terms reduces to an exact rising
-factorial, which keeps alternating sums (z < 0) accurate despite
-cancellation; for non-integer eta the ratio goes through log-gamma.
-All functions are pure and safe for concurrent use.
+Every evaluator runs on one engine: a table of the Gamma ratios between
+consecutive terms, computed in blocks of doubling size, feeds one term
+generator, and one stop rule ends the sum.  Scalar arguments are summed
+in 80-bit extended precision, arrays in double precision with the ratios
+shared across entries.  For integer eta the ratio reduces to an exact
+rising factorial, which keeps alternating sums (z < 0) accurate despite
+cancellation; for non-integer eta it goes through log-gamma.  All
+functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import DomainViolation, OverflowGuard, ParamViolation
 # representable result and signals an argument outside the supported range
 _LOG_HUGE = 700.0
 _LD = np.longdouble
+_FIRST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -85,55 +89,94 @@ def _is_small_positive_int(x: float) -> int | None:
     return None
 
 
-def _gamma_ratio_ld(x: float, step: float):
-    """Gamma(x) / Gamma(x + step) as an extended-precision scalar.
+def _gamma_ratios(x: np.ndarray, step: float) -> np.ndarray:
+    """Gamma(x) / Gamma(x + step) at every entry of x, in extended precision.
 
     Exact rising-factorial form when ``step`` is a small integer; the
-    log-gamma route otherwise.  Requires both arguments positive.
+    log-gamma route otherwise.  Requires all arguments positive.
     """
-    if x <= 0 or x + step <= 0:
-        raise ParamViolation(f"Gamma argument hit a nonpositive value ({x!r})")
+    bad = (x <= 0) | (x + step <= 0)
+    if bad.any():
+        raise ParamViolation(
+            f"Gamma argument hit a nonpositive value ({float(x[bad][0])!r})")
     p = _is_small_positive_int(step)
-    if p is not None:
-        denom = _LD(1.0)
-        xi = _LD(x)
-        for _ in range(p):
-            denom *= xi
-            xi += 1
-        return 1.0 / denom
-    return _LD(math.exp(math.lgamma(x) - math.lgamma(x + step)))
+    if p is None:
+        return np.array([math.exp(math.lgamma(v) - math.lgamma(v + step))
+                         for v in x.tolist()], dtype=_LD)
+    xi = x.astype(_LD)
+    denom = np.ones_like(xi)
+    for _ in range(p):
+        denom *= xi
+        xi += 1
+    return 1.0 / denom
 
 
-def _sum_series(first_term, ratio_of, z: float, policy: MLSeriesParams) -> SeriesResult:
-    """Sum t_0 + t_0*r_1*z + ... with t_k = t_{k-1} * z * ratio_of(k).
+def _terms(first: float, z, gamma_arg, step: float, count: int):
+    """Yield t_0 = first and t_k = t_{k-1} * z * Gamma(x_k) / Gamma(x_k + step)
+    for k = 1..count, where x_k = gamma_arg(k - 1) (vectorised in k).
 
-    Stops once three consecutive terms are below the relative tolerance,
-    because alternating series terms are not monotone and a single small
-    term can be a transient.
+    An array z is summed in double precision with each ratio rounded
+    once; any other z runs in extended precision.  Ratios are computed
+    in blocks of doubling size, so a short series pays for few Gamma
+    evaluations and a long one for few blocks.
     """
-    term = _LD(first_term)
-    total = _LD(0.0)
-    consec = 0
-    k = 0
-    while k < policy.max_terms:
-        mag = abs(float(term))
-        if mag != 0.0 and math.log(mag) > _LOG_HUGE:
-            raise OverflowGuard(
-                f"series term at k={k} exceeds the floating-point range"
-            )
+    vector = isinstance(z, np.ndarray)
+    term = np.full(z.shape, first) if vector else _LD(first)
+    yield term
+    k, block = 1, _FIRST_BLOCK
+    while k <= count:
+        ratios = _gamma_ratios(gamma_arg(np.arange(k - 1, min(k - 1 + block, count),
+                                                   dtype=float)), step)
+        for r in (ratios.astype(float).tolist() if vector else ratios):
+            term = term * z * r
+            mag = np.abs(term).max(initial=0.0) if vector else abs(float(term))
+            if mag != 0.0 and not math.log(mag) <= _LOG_HUGE:
+                raise OverflowGuard(
+                    f"series term at k={k} exceeds the floating-point range")
+            yield term
+            k += 1
+        block *= 2
+
+
+def _ml_terms(eta: float, nu: float, z, count: int):
+    """Terms z^k / Gamma(k*eta + nu) of E[eta, nu](z)."""
+    return _terms(math.exp(-math.lgamma(nu)), z, lambda j: j * eta + nu, eta, count)
+
+
+def _ks_terms(eta: float, m: float, l: float, z, count: int):
+    """Terms c_k z^k of E[eta, m, l](z)."""
+    return _terms(1.0, z, lambda j: eta * (j * m + l) + 1.0, eta, count)
+
+
+def _sum_to_tolerance(terms, policy: MLSeriesParams):
+    """Add terms until three in a row are below rel_tol * |sum| at every
+    entry, or until max_terms were added.
+
+    Three, because alternating series terms are not monotone and a
+    single small term can be a transient.  Returns the sum, the number
+    of terms added and whether the tolerance (not max_terms) stopped it.
+    """
+    total, consec = 0.0, 0
+    for k, term in zip(range(1, policy.max_terms + 1), terms):
         total += term
-        k += 1
-        if mag <= policy.rel_tol * abs(float(total)):
-            consec += 1
+        if isinstance(term, np.ndarray):
+            small = bool(np.all(np.abs(term) <= policy.rel_tol * np.abs(total)))
         else:
-            consec = 0
-        term = term * _LD(z) * ratio_of(k)
+            small = abs(float(term)) <= policy.rel_tol * abs(float(total))
+        consec = consec + 1 if small else 0
         if consec >= 3:
-            omitted = abs(float(term))
-            value = float(total)
-            converged = omitted <= policy.rel_tol * max(1.0, abs(value))
-            return SeriesResult(value, k, omitted, converged)
-    return SeriesResult(float(total), k, abs(float(term)), False)
+            return total, k, True
+    return total, policy.max_terms, False
+
+
+def _series_result(terms, policy: MLSeriesParams) -> SeriesResult:
+    """Sum a scalar term stream; the first omitted term is the
+    truncation estimate."""
+    total, used, stopped = _sum_to_tolerance(terms, policy)
+    omitted = abs(float(next(terms)))
+    value = float(total)
+    converged = stopped and omitted <= policy.rel_tol * max(1.0, abs(value))
+    return SeriesResult(value, used, omitted, converged)
 
 
 def mittag_leffler2(eta: float, nu: float, z: float,
@@ -147,15 +190,9 @@ def mittag_leffler2(eta: float, nu: float, z: float,
         raise DomainViolation(f"eta must be positive, got {eta!r}")
     if not nu > 0:
         raise DomainViolation(f"nu must be positive, got {nu!r}")
-    first = math.exp(-math.lgamma(nu))
     if z == 0.0:
-        return SeriesResult(first, 1, 0.0, True)
-
-    def ratio(k: int):
-        # Gamma((k-1)*eta + nu) / Gamma(k*eta + nu)
-        return _gamma_ratio_ld((k - 1) * eta + nu, eta)
-
-    return _sum_series(first, ratio, z, policy)
+        return SeriesResult(math.exp(-math.lgamma(nu)), 1, 0.0, True)
+    return _series_result(_ml_terms(eta, nu, _LD(z), policy.max_terms), policy)
 
 
 def kilbas_saigo(eta: float, m: float, l: float, z: float,
@@ -172,25 +209,15 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
         raise DomainViolation(f"m must be positive, got {m!r}")
     if z == 0.0:
         return SeriesResult(1.0, 1, 0.0, True)
-
-    def ratio(k: int):
-        # c_k / c_{k-1} = Gamma(eta*((k-1)m+l)+1) / Gamma(eta*((k-1)m+l+1)+1)
-        return _gamma_ratio_ld(eta * ((k - 1) * m + l) + 1.0, eta)
-
-    return _sum_series(1.0, ratio, z, policy)
+    return _series_result(_ks_terms(eta, m, l, _LD(z), policy.max_terms), policy)
 
 
 def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
     """First ``count`` + 1 Kilbas-Saigo coefficients c_0 .. c_count."""
     if not eta > 0 or not m > 0:
         raise DomainViolation("eta and m must be positive")
-    coeffs = np.empty(count + 1)
-    c = _LD(1.0)
-    coeffs[0] = 1.0
-    for k in range(1, count + 1):
-        c = c * _gamma_ratio_ld(eta * ((k - 1) * m + l) + 1.0, eta)
-        coeffs[k] = float(c)
-    return coeffs
+    return np.fromiter(_ks_terms(eta, m, l, _LD(1.0), count), dtype=float,
+                       count=count + 1)
 
 
 def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int,
@@ -198,9 +225,9 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int,
     """Tails T[m] = sum_{k=m+1}^K z^k / Gamma(k*eta + nu), m = 0..n_max.
 
     Requires z >= 0 so every term is positive.  Summation runs backward
-    over precomputed extended-precision terms, which keeps the sequence
-    strictly decreasing while terms remain nonzero and avoids the
-    catastrophic cancellation of forming E(z) minus a partial sum.
+    over extended-precision terms, which keeps the sequence strictly
+    decreasing while terms remain nonzero and avoids the catastrophic
+    cancellation of forming E(z) minus a partial sum.
     """
     if not eta > 0 or not nu > 0:
         raise DomainViolation("eta and nu must be positive")
@@ -208,25 +235,15 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int,
         raise DomainViolation("tail sums are defined for z >= 0")
     if n_max < 0:
         raise DomainViolation("n_max must be nonnegative")
-    terms = [_LD(math.exp(-math.lgamma(nu)))]
-    k = 1
-    while k <= policy.max_terms:
-        t = terms[-1] * _LD(z) * _gamma_ratio_ld((k - 1) * eta + nu, eta)
-        mag = abs(float(t))
-        if mag != 0.0 and math.log(mag) > _LOG_HUGE:
-            raise OverflowGuard(f"tail term at k={k} exceeds range")
+    terms = []
+    for k, t in enumerate(_ml_terms(eta, nu, _LD(z), policy.max_terms)):
         terms.append(t)
-        if k > n_max + 1 and mag < 1e-300:
+        if k > n_max + 1 and abs(float(t)) < 1e-300:
             break
-        k += 1
-    arr = np.array(terms, dtype=_LD)
-    tails = np.zeros(n_max + 1, dtype=_LD)
-    running = _LD(0.0)
-    for k in range(len(arr) - 1, 0, -1):
-        running += arr[k]
-        if k - 1 <= n_max:
-            tails[k - 1] = running
-    return tails.astype(float)
+    running = np.cumsum(np.array(terms[:0:-1], dtype=_LD))[::-1]
+    tails = np.zeros(n_max + 1)
+    tails[:len(running)] = running[:n_max + 1]
+    return tails
 
 
 def ks_array(eta: float, m: float, l: float, z: np.ndarray,
@@ -239,19 +256,7 @@ def ks_array(eta: float, m: float, l: float, z: np.ndarray,
     if not eta > 0 or not m > 0:
         raise DomainViolation("eta and m must be positive")
     z = np.asarray(z, dtype=float)
-    term = np.ones(z.shape)
-    total = np.zeros_like(term)
-    consec = 0
-    for k in range(1, policy.max_terms + 1):
-        total += term
-        small = np.abs(term) <= policy.rel_tol * np.abs(total)
-        consec = consec + 1 if bool(np.all(small)) else 0
-        if consec >= 3:
-            break
-        term = term * z * float(_gamma_ratio_ld(eta * ((k - 1) * m + l) + 1.0, eta))
-        if not np.all(np.isfinite(term)):
-            raise OverflowGuard("vectorized series term overflowed")
-    return total
+    return _sum_to_tolerance(_ks_terms(eta, m, l, z, policy.max_terms), policy)[0]
 
 
 def ml2_array(eta: float, nu: float, z: np.ndarray,
@@ -266,16 +271,4 @@ def ml2_array(eta: float, nu: float, z: np.ndarray,
     if not eta > 0 or not nu > 0:
         raise DomainViolation("eta and nu must be positive")
     z = np.asarray(z, dtype=float)
-    term = np.full(z.shape, math.exp(-math.lgamma(nu)))
-    total = np.zeros_like(term)
-    consec = 0
-    for k in range(1, policy.max_terms + 1):
-        total += term
-        small = np.abs(term) <= policy.rel_tol * np.abs(total)
-        consec = consec + 1 if bool(np.all(small)) else 0
-        if consec >= 3:
-            break
-        term = term * z * float(_gamma_ratio_ld((k - 1) * eta + nu, eta))
-        if not np.all(np.isfinite(term)):
-            raise OverflowGuard("vectorized series term overflowed")
-    return total
+    return _sum_to_tolerance(_ml_terms(eta, nu, z, policy.max_terms), policy)[0]

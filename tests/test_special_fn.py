@@ -161,3 +161,43 @@ def test_tail_sums_decrease_and_match_series():
     total = mittag_leffler2(eta, nu, z).value
     partial = sum(z ** k * math.exp(-log_gamma(k * eta + nu)) for k in range(11))
     assert abs(tails[10] - (total - partial)) < 1e-11
+
+
+def _mp_mittag_leffler(mpmath, eta, nu, z):
+    # plain series at 40 digits: no cancellation trouble on this range
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = z ** k * mpmath.rgamma(k * mpmath.mpf(eta) + nu)
+            total += term
+            if k > 10 and abs(term) < mpmath.mpf(10) ** -35 * max(1, abs(total)):
+                return float(total)
+            k += 1
+
+
+ML_ORACLE_CASES = (
+    [(eta, nu, np.linspace(-2.5, 5.0, 16))
+     for eta in (0.5, 0.6, 0.9, 1.0) for nu in (0.4, 0.76, 1.0, 1.7)]
+    + [(0.3, nu, np.linspace(-1.5, 2.5, 9)) for nu in (0.4, 0.76, 1.0, 1.7)])
+
+
+@pytest.mark.parametrize("eta,nu,zs", ML_ORACLE_CASES)
+def test_ml_scalar_and_array_match_mpmath(eta, nu, zs):
+    mpmath = pytest.importorskip("mpmath")
+    ref = np.array([_mp_mittag_leffler(mpmath, eta, nu, float(z)) for z in zs])
+    scalar = np.array([mittag_leffler2(eta, nu, float(z)).value for z in zs])
+    for got in (scalar, ml2_array(eta, nu, zs)):
+        err = np.abs(got - ref)
+        ok = (err <= 1e-11 * np.abs(ref)) | ((np.abs(ref) < 1e-2) & (err <= 1e-11))
+        assert ok.all(), (eta, nu, zs[~ok], err[~ok])
+
+
+@pytest.mark.parametrize("eta,m,l", [(0.6, 1.5, 0.2), (0.5, 1.0, 0.0),
+                                     (0.9, 1.2, -0.4), (0.4, 2.0, 0.7)])
+def test_ks_coefficient_partial_sums_match_series(eta, m, l):
+    c = ks_coefficients(eta, m, l, 60)
+    for z in (-1.0, 0.5, 1.5):
+        partial = sum(ck * z ** k for k, ck in enumerate(c))
+        value = kilbas_saigo(eta, m, l, z).value
+        assert abs(partial - value) <= 1e-11 * abs(value)
