@@ -2,18 +2,24 @@
 """Grid-refinement study for the product-integration quadrature.
 
 Prints the endpoint error of the fractional integral against the
-monomial closed form, the semigroup defect, and the gap between the
-iterative solver and the constant-coefficient representation, each over
-a sequence of grid sizes.  Empirical orders should come out >= 1.
+monomial closed form, the semigroup defect, and a weighted-mode table:
+the error of the weighted integral of X^2 and the gap between the
+iterative solver and the closed-form (Mittag-Leffler) solution of the
+decay problem, each over a sequence of grid sizes.  Empirical orders
+should come out >= 1.
+
+    PYTHONPATH=src python scripts/convergence_study.py --sizes 1024 4096 16384 65536
 """
 
 import argparse
+import math
 
 import numpy as np
 
-from psihilfer import (CauchyProblem, LinearProblem, OrderParams, build_grid,
-                       frac_integral, make_psi, monomial_oracle, parse,
-                       picard_solve, solve_constant)
+from psihilfer import (CauchyProblem, LinearProblem, OrderParams,
+                       WeightedGridFunction, build_grid, frac_integral,
+                       make_psi, monomial_oracle, parse, picard_solve,
+                       solve_constant)
 
 
 def quadrature_table(ns):
@@ -46,19 +52,38 @@ def semigroup_table(ns):
         print(f"{n:>6} {defect:12.3e}")
 
 
-def solver_table(ns):
+def _order(prev, err, n_prev, n):
+    if prev is None:
+        return "       -"
+    return f"{math.log(prev / err) / math.log(n / n_prev):8.2f}"
+
+
+def weighted_table(ns):
     psi = make_psi("identity", (), (0.0, 1.0))
     params = OrderParams(0.6, 0.4)
+    eta, zeta = params.eta, params.zeta
     problem = CauchyProblem(psi=psi, params=params, a=0.0, xi=1.0, y_a=1.0,
                             rhs=parse("-1*y"), k_box=1.0)
-    print("\nsolver versus closed form, decay problem, weighted sup gap")
-    print(f"{'n':>6} {'gap':>12} {'iters':>6}")
+    print(f"\nweighted mode, eta {eta}, zeta {zeta}: max error of the weighted "
+          "integral of X^2,\nand weighted sup gap of the decay solve "
+          "(-1*y) against the closed form")
+    print(f"{'n':>6} {'X^2 error':>12} {'order':>8} {'decay gap':>12} "
+          f"{'order':>8} {'iters':>6}")
+    prev_n = prev_q = prev_g = None
     for n in ns:
+        grid = build_grid(psi, 0.0, 1.0, n)
+        x = grid.x
+        out = frac_integral(grid, eta, WeightedGridFunction(grid, zeta, x ** 2),
+                            mode="weighted")
+        exact = x ** (1.0 - zeta) * monomial_oracle(psi, eta, zeta + 2.0, 0.0, x)
+        q_err = np.max(np.abs(out.w - exact))
         sol, rep = picard_solve(problem, n=n, horizon=1.0)
         ref = solve_constant(LinearProblem(psi=psi, params=params, a=0.0,
                                            b=1.0, y_a=1.0, lam=-1.0), n)
         gap = np.max(np.abs(sol.w - ref.w))
-        print(f"{n:>6} {gap:12.3e} {rep.iterations:>6}")
+        print(f"{n:>6} {q_err:12.3e} {_order(prev_q, q_err, prev_n, n)} "
+              f"{gap:12.3e} {_order(prev_g, gap, prev_n, n)} {rep.iterations:>6}")
+        prev_n, prev_q, prev_g = n, q_err, gap
 
 
 def main():
@@ -68,7 +93,7 @@ def main():
     args = ap.parse_args()
     quadrature_table(args.sizes)
     semigroup_table(args.sizes)
-    solver_table(args.sizes)
+    weighted_table(args.sizes)
 
 
 if __name__ == "__main__":

@@ -197,18 +197,13 @@ def load_config(path: str) -> ProblemConfig:
 def _emit_solution(path: str, solution) -> None:
     """CSV with header t,w,y.  The unweighted solution is unbounded at
     the left endpoint when zeta < 1, so that y field is left empty."""
-    grid = solution.grid
-    zeta = solution.zeta
-    y = solution.to_plain()
-    lines = ["t,w,y"]
-    for i in range(grid.n + 1):
-        t, wi = grid.nodes[i], solution.w[i]
-        if i == 0 and zeta < 1.0:
-            lines.append(f"{_fmt(t)},{_fmt(wi)},")
-        else:
-            lines.append(f"{_fmt(t)},{_fmt(wi)},{_fmt(y[i])}")
+    ts, ws = solution.grid.nodes.tolist(), solution.w.tolist()
+    rows = [f"{t:.17g},{w:.17g},{y:.17g}"
+            for t, w, y in zip(ts, ws, solution.to_plain().tolist())]
+    if solution.zeta < 1.0:
+        rows[0] = f"{ts[0]:.17g},{ws[0]:.17g},"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["t,w,y", *rows]) + "\n")
 
 
 def _cmd_solve(args) -> int:

@@ -7,23 +7,24 @@ The integral of order eta with respect to a transform Psi,
 is discretized by product integration after substituting u = Psi(s):
 the grid is uniform in u, the smooth factor is interpolated linearly on
 each panel and the singular kernel is integrated exactly against each
-linear piece.  Two modes exist:
+linear piece.  The Abel weights depend only on the node distance, so
+evaluation at all nodes is a discrete convolution.  Two modes exist:
 
-* plain mode expects finite samples of h and uses closed-form Abel
-  weights that depend only on the node distance, so evaluation at all
-  nodes is a discrete convolution;
-* weighted mode expects samples of w(t) = (Psi(t)-Psi(a))^(1-zeta) h(t)
-  and folds the full (u-u_a)^(zeta-1) factor into exact panel moments
-  (incomplete-Beta integrals) on every panel.  Functions of the form
-  (Psi-Psi(a))^(zeta-1) times an affine function of u are integrated
-  exactly, so the left-endpoint singularity never degrades the order.
+* plain mode expects finite samples of h and sums the convolution directly;
+* weighted mode expects samples of w = X^(1-zeta) h, X = Psi(t)-Psi(a).
+  The affine part w0 + s X of w (s the first-panel slope) is integrated
+  in closed form, the remainder X^(zeta-1) (w - w0 - s X), zero on both
+  ends of the first panel, by one FFT convolution with the same weights
+  (Hairer, Lubich & Schlichte 1985; Lubich 1985).  X^(zeta-1) times an
+  affine function of u is integrated exactly, so the left-endpoint
+  singularity never degrades the order; O(n log n) time, O(n) memory.
 
 The composite derivative of order eta and type nu chains
 I^{nu(1-eta)} after d/du after I^{(1-nu)(1-eta)}, where d/du is the
 derivative in the transformed variable (identical to (1/Psi') d/dt).
 
-All operations are pure; weight tables are immutable after
-construction and per-node sums accumulate in fixed index order.
+All operations are pure; tables are immutable after construction and
+every sum, the FFT included, runs in a fixed order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import DomainViolation, GridMismatch, GridTooCoarse
 from .psi_maps import PsiMap, psi_increment
@@ -211,80 +211,64 @@ def _abel_convolve(g: np.ndarray, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_moment_matrix(eta: float, zeta: float, h: float, n: int) -> np.ndarray:
-    """Quadrature matrix C with (C @ w)_j = (j h)^(1-zeta) * (I h)(t_j).
-
-    Row j integrates (u_j - u)^(eta-1) (u - u_0)^(zeta-1) times the
-    linear interpolant of w over every panel, using incomplete-Beta
-    panel moments, then rescales so the output is already in weighted
-    form (finite at every node for any eta, zeta in (0,1]).
-    """
-    lb0 = log_gamma(zeta) + log_gamma(eta) - log_gamma(zeta + eta)
-    b0 = math.exp(lb0)
-    b1 = b0 * zeta / (zeta + eta)
-    inv_geta = math.exp(-log_gamma(eta))
-
-    # One flat evaluation of the regularized incomplete Beta for every
-    # (row, node) pair; rows are the triangular index set i <= j.
-    total = n * (n + 3) // 2                  # row j contributes j+1 nodes
-    xs = np.empty(total)
-    pos = 0
-    for j in range(1, n + 1):
-        xs[pos:pos + j + 1] = np.arange(j + 1) / j
-        pos += j + 1
-    ia_flat = betainc(zeta, eta, xs)
-    # Parameter-shift recurrence avoids a second transcendental sweep:
-    # I_x(zeta+1, eta) = I_x(zeta, eta) - x^zeta (1-x)^eta / (zeta B(zeta, eta))
-    with np.errstate(invalid="ignore"):
-        ib_flat = ia_flat - np.power(xs, zeta) * np.power(1.0 - xs, eta) / (zeta * b0)
-
-    c = np.zeros((n + 1, n + 1))
-    pos = 0
-    for j in range(1, n + 1):
-        ia = ia_flat[pos:pos + j + 1]
-        ib = ib_flat[pos:pos + j + 1]
-        pos += j + 1
-        m0 = b0 * np.diff(ia)
-        mx = b1 * np.diff(ib)
-        i_idx = np.arange(j, dtype=float)
-        lam = j * mx - i_idx * m0
-        lam = np.clip(lam, 0.0, np.maximum(m0, 0.0))
-        row = np.zeros(j + 1)
-        row[:j] += m0 - lam
-        row[1:] += lam
-        c[j, :j + 1] = row * ((j * h) ** eta * inv_geta)
-    return c
-
-
 class FracIntegralOperator:
     """Reusable discretization of the fractional integral on one grid.
 
-    Weight tables are built once; ``apply_*`` methods are cheap linear
-    maps with fixed-order accumulation, so repeated application inside
-    an iteration loop is deterministic and fast.
+    Plain mode (``zeta=None``) sums the Abel-weight convolution directly;
+    weighted mode runs it as one FFT and keeps only O(n) tables, among
+    them ``to_plain = X^(zeta-1)`` and ``to_weighted = X^(1-zeta)`` (both
+    0 at t = a).  The ``apply_*`` methods are deterministic linear maps.
     """
 
     def __init__(self, grid: PsiGrid, eta: float, zeta: float | None = None):
         if not eta > 0:
             raise DomainViolation(f"eta must be positive, got {eta!r}")
+        if zeta is not None and not zeta > 0.0:
+            raise DomainViolation(f"zeta must be positive, got {zeta!r}")
         self.grid = grid
         self.eta = float(eta)
         self.zeta = None if zeta is None else float(zeta)
+        n = grid.n
+        cl, cr = _abel_kernels(self.eta, n)
+        scale = grid.h ** self.eta * math.exp(-log_gamma(self.eta))
         if self.zeta is None:
-            cl, cr = _abel_kernels(self.eta, grid.n)
-            scale = grid.h ** self.eta * math.exp(-log_gamma(self.eta))
             self._cl = cl * scale
             self._cr = cr * scale
-            self._matrix = None
-        else:
-            if not self.zeta > 0.0:
-                raise DomainViolation(f"zeta must be positive, got {zeta!r}")
-            self._matrix = _weighted_moment_matrix(self.eta, self.zeta,
-                                                   grid.h, grid.n)
+            return
+        # every convolved sample vanishes at node 0, so each node's
+        # weights from the panels on its two sides merge into one kernel
+        kernel = np.zeros(n + 1)
+        kernel[:n] += cr
+        kernel[1:] += cl
+        # padding to > 2n keeps the circular convolution free of
+        # wrap-around; lengths 2^a 3^b transform fastest
+        p = 1 << (2 * n).bit_length()
+        self._nfft = min(k for k in (p, 3 * p // 4, 9 * p // 16) if k > 2 * n)
+        self._kernel_hat = np.fft.rfft(kernel * scale, self._nfft)
+        self.to_plain = grid.x_pow(self.zeta - 1.0)
+        self.to_plain[0] = 0.0
+        self.to_weighted = grid.x_pow(1.0 - self.zeta)
+        self.to_weighted[0] = 0.0
+        eta, z = self.eta, self.zeta
+        # weighted-form integral of X^(zeta-1), and that of X^zeta minus
+        # its product-rule value (the product rule of w - w0 in apply
+        # already carries the slope part; this restores it exactly)
+        self._int_const = (math.exp(log_gamma(z) - log_gamma(z + eta))
+                           * grid.x_pow(eta))
+        self._slope_defect = (math.exp(log_gamma(z + 1.0) - log_gamma(z + 1.0 + eta))
+                              * grid.x_pow(eta + 1.0)
+                              - self._product_rule(grid.x_pow(z)))
+
+    def _product_rule(self, g: np.ndarray) -> np.ndarray:
+        """Weighted-form product-rule integral of samples g with g[0] = 0."""
+        n = self.grid.n
+        conv = np.fft.irfft(np.fft.rfft(g, self._nfft) * self._kernel_hat,
+                            self._nfft)[:n + 1]
+        return self.to_weighted * conv
 
     def apply_plain(self, g: np.ndarray) -> np.ndarray:
         """Integral of finite samples g at every node; exact for g affine in u."""
-        if self._matrix is not None:
+        if self.zeta is not None:
             raise GridMismatch("operator was built in weighted mode")
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n + 1,):
@@ -301,16 +285,24 @@ class FracIntegralOperator:
 
         Input w represents h = (Psi-Psi(a))^(zeta-1) w; the return value
         is (Psi-Psi(a))^(1-zeta) * (I h), which is finite everywhere and
-        exactly zero at the left endpoint.
+        exactly zero at the left endpoint.  The affine part of w through
+        its first two samples is integrated in closed form, the rest by
+        one FFT convolution.
         """
-        if self._matrix is None:
+        if self.zeta is None:
             raise GridMismatch("operator was built in plain mode")
+        n = self.grid.n
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.grid.n + 1,):
-            raise GridMismatch(f"expected {self.grid.n + 1} samples")
-        # row-wise products with pairwise summation: deterministic
-        # regardless of BLAS threading configuration
-        return (self._matrix * w).sum(axis=1)
+        if w.shape != (n + 1,):
+            raise GridMismatch(f"expected {n + 1} samples")
+        w0 = w[0]
+        slope = (w[1] - w0) / self.grid.h
+        # the product rule of X^(zeta-1) (w - w0 - slope X), split by
+        # linearity so that no large ramp is rounded in the FFT
+        out = (w0 * self._int_const + slope * self._slope_defect
+               + self._product_rule(self.to_plain * (w - w0)))
+        out[0] = 0.0
+        return out
 
 
 def frac_integral(grid: PsiGrid, eta: float, samples, mode: str = "plain"):
@@ -382,7 +374,7 @@ def hilfer_derivative(params: OrderParams, y: WeightedGridFunction) -> np.ndarra
         op_in = FracIntegralOperator(grid, beta_in, zeta=params.zeta)
         v_weighted = op_in.apply_weighted(y.w)
         v = np.empty(n + 1)
-        v[1:] = v_weighted[1:] * grid.x_pow(params.zeta - 1.0)[1:]
+        v[1:] = v_weighted[1:] * op_in.to_plain[1:]
         v[0] = y.w[0] * math.exp(log_gamma(params.zeta)
                                  - log_gamma(beta_in + params.zeta))
 

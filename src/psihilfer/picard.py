@@ -121,17 +121,17 @@ def picard_step(rhs: RhsExpr, grid: PsiGrid, op: FracIntegralOperator,
     Reconstructs y away from the endpoint, weights the composite
     f(t, y(t)) and pushes it through the fractional integral; the value
     of the weighted composite at t = a is quadratically extrapolated so
-    the singular endpoint is never evaluated.
+    the singular endpoint is never evaluated.  The power factors come
+    from ``op``, a weighted operator on ``grid`` with this ``zeta``.
     """
     n = grid.n
-    xw = grid.x_pow(1.0 - zeta)
     phi = np.empty(n + 1)
     if zeta == 1.0:
         y_plain = w
         phi[:] = rhs.eval_many(grid.nodes, y_plain)
     else:
-        y_plain = w[1:] * grid.x_pow(zeta - 1.0)[1:]
-        phi[1:] = xw[1:] * rhs.eval_many(grid.nodes[1:], y_plain)
+        y_plain = w[1:] * op.to_plain[1:]
+        phi[1:] = op.to_weighted[1:] * rhs.eval_many(grid.nodes[1:], y_plain)
         phi[0] = 3.0 * phi[1] - 3.0 * phi[2] + phi[3]
     return w0_const + op.apply_weighted(phi)
 

@@ -122,14 +122,22 @@ def _terms(first: float, z, gamma_arg, step: float, count: int):
     """
     vector = isinstance(z, np.ndarray)
     term = np.full(z.shape, first) if vector else _LD(first)
+    zmax = float(np.abs(z).max(initial=0.0)) if vector else 0.0
+    mag = abs(first)
     yield term
     k, block = 1, _FIRST_BLOCK
     while k <= count:
         ratios = _gamma_ratios(gamma_arg(np.arange(k - 1, min(k - 1 + block, count),
                                                    dtype=float)), step)
         for r in (ratios.astype(float).tolist() if vector else ratios):
-            term = term * z * r
-            mag = np.abs(term).max(initial=0.0) if vector else abs(float(term))
+            if vector and not mag * zmax * max(r, 1.0) < math.inf:
+                # a double step that may overflow: the guard below raises
+                # for it, so numpy's overflow warning is silenced
+                with np.errstate(over="ignore"):
+                    term = term * z * r
+            else:
+                term = term * z * r
+            mag = float(np.abs(term).max(initial=0.0)) if vector else abs(float(term))
             if mag != 0.0 and not math.log(mag) <= _LOG_HUGE:
                 raise OverflowGuard(
                     f"series term at k={k} exceeds the floating-point range")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,8 +68,8 @@ def test_log_map_monomial():
 
 
 def test_weighted_integral_exact_on_monomials():
-    # the weighted panel moments resolve the endpoint power exactly, so a
-    # constant weighted profile must reproduce the closed form to roundoff
+    # the endpoint power times a constant is integrated in closed form, so
+    # a constant weighted profile must reproduce the closed form to roundoff
     for eta, delta in [(0.3, 0.7), (0.5, 0.75), (0.9, 0.51), (0.4, 2.5)]:
         grid = build_grid(IDENT, 0.0, 1.0, 256)
         wgf = WeightedGridFunction(grid, delta, np.ones(257))
@@ -76,6 +77,82 @@ def test_weighted_integral_exact_on_monomials():
         plain = out.w[1:] * grid.x_pow(delta - 1.0)[1:]
         exact = monomial_oracle(IDENT, eta, delta, 0.0, grid.nodes[1:])
         assert np.max(np.abs(plain - exact) / np.abs(exact)) < 1e-12
+
+
+def _weighted_integral_of_power(eta, zeta, k, x):
+    """Weighted form X^(1-zeta) I^eta[X^(zeta-1) X^k] from the closed form."""
+    return x ** (1.0 - zeta) * monomial_oracle(IDENT, eta, zeta + k, 0.0, x)
+
+
+@pytest.mark.parametrize("profile", ["square", "cos3_plus_square"])
+@pytest.mark.parametrize("eta,zeta", [(0.1, 0.1), (0.3, 0.76), (0.6, 0.5),
+                                      (0.9, 1.0), (0.5, 2.5)])
+def test_weighted_integral_converges_on_non_affine_profiles(profile, eta, zeta):
+    # cos 3u is expanded in its Taylor series, each power integrated in
+    # closed form; the error is measured away from the endpoint layer
+    def exact(x):
+        total = _weighted_integral_of_power(eta, zeta, 2.0, x)
+        if profile == "cos3_plus_square":
+            for k in range(25):
+                total = total + ((-9.0) ** k / math.factorial(2 * k)
+                                 * _weighted_integral_of_power(eta, zeta, 2.0 * k, x))
+        return total
+
+    errs = []
+    for n in (256, 512, 1024):
+        grid = build_grid(IDENT, 0.0, 1.0, n)
+        x = grid.x
+        w = x ** 2 if profile == "square" else np.cos(3.0 * x) + x ** 2
+        out = frac_integral(grid, eta, WeightedGridFunction(grid, zeta, w),
+                            mode="weighted")
+        errs.append(np.max(np.abs(out.w[n // 16:] - exact(x[n // 16:]))))
+    assert errs[0] / errs[1] >= 2.0 and errs[1] / errs[2] >= 2.0, errs
+    assert errs[2] < 1e-6, errs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+       st.floats(0.05, 1.0, exclude_min=True))
+def test_weighted_equivalent_weights_are_nonnegative(eta, zeta):
+    # column m of the equivalent matrix is the image of the m-th unit vector
+    grid = build_grid(IDENT, 0.0, 1.0, 64)
+    op = FracIntegralOperator(grid, eta, zeta=zeta)
+    weights = np.array([op.apply_weighted(e) for e in np.eye(65)]).T
+    scale = np.max(np.abs(weights))
+    assert np.all(np.tril(weights) >= 0.0)
+    # causal: no node depends on later samples beyond FFT roundoff
+    assert np.max(np.abs(np.triu(weights, 1))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("eta,zeta", [(0.3, 1.0), (0.3, 0.3), (0.1, 0.5)])
+def test_weighted_linearity_to_roundoff_on_steep_layers(eta, zeta):
+    # w = 1 + 50 X^eta has first-panel slope ~ 50 h^(eta-1), up to 2.6e4;
+    # the FFT must not round a ramp of that size, or Picard increments
+    # stall at the rounding noise instead of contracting
+    grid = build_grid(IDENT, 0.0, 1.0, 1024)
+    op = FracIntegralOperator(grid, eta, zeta=zeta)
+    big = 1.0 + 50.0 * grid.x ** eta
+    small = 1e-6 * np.cos(7.0 * grid.x)
+    defect = (op.apply_weighted(big + small) - op.apply_weighted(big)
+              - op.apply_weighted(small))
+    assert np.max(np.abs(defect)) <= 1e-14 * np.max(np.abs(big))
+
+
+def test_weighted_operator_memory_is_linear_in_n():
+    # the small size runs first, so an operator with quadratic state
+    # fails there instead of attempting a 34 GB table at n = 2^16
+    for n, budget in ((1024, 1 << 20), (1 << 16, 64 << 20)):
+        grid = build_grid(IDENT, 0.0, 1.0, n)
+        w = np.cos(3.0 * grid.x)
+        tracemalloc.start()
+        try:
+            op = FracIntegralOperator(grid, 0.6, zeta=0.76)
+            out = op.apply_weighted(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < budget, (n, peak)
 
 
 def test_weighted_integral_zero_at_left_endpoint():

@@ -219,3 +219,13 @@ def test_residual_check_needs_fine_grid():
     sol, _ = picard_solve(prob, n=64, horizon=1.0)
     with pytest.raises(GridTooCoarse):
         residual_check(prob, sol)
+
+
+def test_stiff_decay_increments_contract_below_tolerance():
+    # eta 0.3, nu 1 with L near 2 overshoots to increments of ~3e3 before
+    # contracting; roundoff in the weighted operator must stay far enough
+    # below that peak for the increments to fall under tol = 1e-10
+    prob = _problem(eta=0.3, nu=1.0, rhs="-1.9825353760527153*y")
+    sol, rep = picard_solve(prob, n=1024, horizon=1.0)
+    assert max(rep.weighted_deltas) > 1e3
+    assert rep.converged and rep.iterations <= 160, rep.weighted_deltas[-5:]

@@ -81,6 +81,16 @@ def test_ml_overflow_guard():
         mittag_leffler2(0.2, 1.0, 1e9)
 
 
+@pytest.mark.parametrize("z", [[1.0, 1e6], [-1e6, 2.0], [1e300, 1.0], [1e308]])
+def test_array_overflow_guard_without_runtime_warning(z):
+    # a term step that leaves the double range must surface as
+    # OverflowGuard; any RuntimeWarning is an error under the test config
+    with pytest.raises(OverflowGuard):
+        ml2_array(0.6, 0.76, np.array(z))
+    with pytest.raises(OverflowGuard):
+        ks_array(0.6, 1.0, 0.5, np.array(z))
+
+
 def test_ml_not_converged_flag():
     res = mittag_leffler2(0.5, 1.0, 30.0, MLSeriesParams(rel_tol=1e-12, max_terms=5))
     assert not res.converged
