@@ -8,16 +8,15 @@ is discretized by product integration after substituting u = Psi(s):
 the grid is uniform in u, the smooth factor is interpolated linearly on
 each panel and the singular kernel is integrated exactly against each
 linear piece.  The Abel weights depend only on the node distance, so
-evaluation at all nodes is a discrete convolution.  Two modes exist:
-
-* plain mode expects finite samples of h and sums the convolution directly;
-* weighted mode expects samples of w = X^(1-zeta) h, X = Psi(t)-Psi(a).
-  The affine part w0 + s X of w (s the first-panel slope) is integrated
-  in closed form, the remainder X^(zeta-1) (w - w0 - s X), zero on both
-  ends of the first panel, by one FFT convolution with the same weights
-  (Hairer, Lubich & Schlichte 1985; Lubich 1985).  X^(zeta-1) times an
-  affine function of u is integrated exactly, so the left-endpoint
-  singularity never degrades the order; O(n log n) time, O(n) memory.
+evaluation at all nodes is a discrete convolution, run as one FFT
+(Hairer, Lubich & Schlichte 1985).  Weighted mode expects samples of
+w = X^(1-zeta) h, X = Psi(t)-Psi(a); plain mode expects finite samples
+of h and is weighted mode at zeta = 1.  The affine part w0 + s X of w
+(s the first-panel slope) is integrated in closed form, the remainder
+X^(zeta-1) (w - w0 - s X), zero on both ends of the first panel, by the
+product rule (Lubich 1985).  X^(zeta-1) times an affine function of u
+is integrated exactly, so the left-endpoint singularity never degrades
+the order; O(n log n) time, O(n) memory.
 
 The composite derivative of order eta and type nu chains
 I^{nu(1-eta)} after d/du after I^{(1-nu)(1-eta)}, where d/du is the
@@ -155,7 +154,9 @@ class WeightedGridFunction:
         """Recover y(t_i).  The t = a entry is NaN when zeta < 1."""
         if self.zeta == 1.0:
             return self.w.copy()
-        y = self.w * self.grid.x_pow(self.zeta - 1.0)
+        # X^(zeta-1) is inf at t = a for zeta < 1: weight nodes 1..n only
+        y = np.empty_like(self.w)
+        y[1:] = self.w[1:] * self.grid.x_pow(self.zeta - 1.0)[1:]
         y[0] = np.nan if self.zeta < 1.0 else 0.0
         return y
 
@@ -202,22 +203,43 @@ def _abel_kernels(eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(cl, 0.0), np.maximum(cr, 0.0)
 
 
-def _abel_convolve(g: np.ndarray, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """Product-rule sums at every node: out[j] = sum over the panels left
-    of node j of cl(d) * g(left end) + cr(d) * g(right end), out[0] = 0."""
+def _abel_product_rule(cl: np.ndarray, cr: np.ndarray, scale: float):
+    """Return g -> product-rule sums at every node by one FFT convolution:
+    out[j] = scale * sum over the panels left of node j of
+    cl(d) * g(left end) + cr(d) * g(right end), and out[0] = 0."""
     n = len(cl)
-    out = np.zeros(n + 1)
-    out[1:] = np.convolve(g, cl)[:n] + np.convolve(g[1:], cr)[:n]
-    return out
+    # each node's weights from the panels on its two sides merge into one
+    # kernel; node 0 ends no panel, so the right-end share that the
+    # merged kernel gives it is subtracted after the convolution
+    kernel = np.zeros(n + 1)
+    kernel[:n] += cr
+    kernel[1:] += cl
+    # padding to > 2n keeps the circular convolution free of
+    # wrap-around; lengths 2^a 3^b transform fastest
+    p = 1 << (2 * n).bit_length()
+    nfft = min(k for k in (p, 3 * p // 4, 9 * p // 16) if k > 2 * n)
+    kernel_hat = np.fft.rfft(kernel * scale, nfft)
+    excess0 = np.append(cr, 0.0) * scale
+
+    def apply(g: np.ndarray) -> np.ndarray:
+        out = np.fft.irfft(np.fft.rfft(g, nfft) * kernel_hat, nfft)[:n + 1]
+        out -= excess0 * g[0]
+        out[0] = 0.0
+        return out
+
+    return apply
 
 
 class FracIntegralOperator:
     """Reusable discretization of the fractional integral on one grid.
 
-    Plain mode (``zeta=None``) sums the Abel-weight convolution directly;
-    weighted mode runs it as one FFT and keeps only O(n) tables, among
-    them ``to_plain = X^(zeta-1)`` and ``to_weighted = X^(1-zeta)`` (both
-    0 at t = a).  The ``apply_*`` methods are deterministic linear maps.
+    Weighted mode (``zeta`` given) integrates h = X^(zeta-1) w from the
+    weighted samples w; plain mode (``zeta=None``) is the same map at
+    zeta = 1, where w = h.  Both keep the O(n) tables
+    ``to_plain = X^(zeta-1)`` and ``to_weighted = X^(1-zeta)`` (both 0
+    at t = a, 1 elsewhere in plain mode) and the kernel spectrum of one
+    FFT product rule.  The ``apply_*`` methods are deterministic linear
+    maps.
     """
 
     def __init__(self, grid: PsiGrid, eta: float, zeta: float | None = None):
@@ -228,28 +250,14 @@ class FracIntegralOperator:
         self.grid = grid
         self.eta = float(eta)
         self.zeta = None if zeta is None else float(zeta)
-        n = grid.n
-        cl, cr = _abel_kernels(self.eta, n)
-        scale = grid.h ** self.eta * math.exp(-log_gamma(self.eta))
-        if self.zeta is None:
-            self._cl = cl * scale
-            self._cr = cr * scale
-            return
-        # every convolved sample vanishes at node 0, so each node's
-        # weights from the panels on its two sides merge into one kernel
-        kernel = np.zeros(n + 1)
-        kernel[:n] += cr
-        kernel[1:] += cl
-        # padding to > 2n keeps the circular convolution free of
-        # wrap-around; lengths 2^a 3^b transform fastest
-        p = 1 << (2 * n).bit_length()
-        self._nfft = min(k for k in (p, 3 * p // 4, 9 * p // 16) if k > 2 * n)
-        self._kernel_hat = np.fft.rfft(kernel * scale, self._nfft)
-        self.to_plain = grid.x_pow(self.zeta - 1.0)
+        eta, z = self.eta, 1.0 if zeta is None else self.zeta
+        cl, cr = _abel_kernels(eta, grid.n)
+        scale = grid.h ** eta * math.exp(-log_gamma(eta))
+        self._conv = _abel_product_rule(cl, cr, scale)
+        self.to_plain = grid.x_pow(z - 1.0)
         self.to_plain[0] = 0.0
-        self.to_weighted = grid.x_pow(1.0 - self.zeta)
+        self.to_weighted = grid.x_pow(1.0 - z)
         self.to_weighted[0] = 0.0
-        eta, z = self.eta, self.zeta
         # weighted-form integral of X^(zeta-1), and that of X^zeta minus
         # its product-rule value (the product rule of w - w0 in apply
         # already carries the slope part; this restores it exactly)
@@ -257,50 +265,44 @@ class FracIntegralOperator:
                            * grid.x_pow(eta))
         self._slope_defect = (math.exp(log_gamma(z + 1.0) - log_gamma(z + 1.0 + eta))
                               * grid.x_pow(eta + 1.0)
-                              - self._product_rule(grid.x_pow(z)))
-
-    def _product_rule(self, g: np.ndarray) -> np.ndarray:
-        """Weighted-form product-rule integral of samples g with g[0] = 0."""
-        n = self.grid.n
-        conv = np.fft.irfft(np.fft.rfft(g, self._nfft) * self._kernel_hat,
-                            self._nfft)[:n + 1]
-        return self.to_weighted * conv
+                              - self.to_weighted * self._conv(grid.x_pow(z)))
 
     def apply_plain(self, g: np.ndarray) -> np.ndarray:
         """Integral of finite samples g at every node; exact for g affine in u."""
         if self.zeta is not None:
             raise GridMismatch("operator was built in weighted mode")
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.grid.n + 1,):
-            raise GridMismatch(f"expected {self.grid.n + 1} samples")
         if not np.all(np.isfinite(g)):
             raise DomainViolation(
                 "plain samples must be finite; use weighted mode for "
                 "functions that are singular at the left endpoint"
             )
-        return _abel_convolve(g, self._cl, self._cr)
+        return self._apply(g)
 
     def apply_weighted(self, w: np.ndarray) -> np.ndarray:
         """Weighted-form integral of weighted samples.
 
         Input w represents h = (Psi-Psi(a))^(zeta-1) w; the return value
         is (Psi-Psi(a))^(1-zeta) * (I h), which is finite everywhere and
-        exactly zero at the left endpoint.  The affine part of w through
-        its first two samples is integrated in closed form, the rest by
-        one FFT convolution.
+        exactly zero at the left endpoint.
         """
         if self.zeta is None:
             raise GridMismatch("operator was built in plain mode")
+        return self._apply(w)
+
+    def _apply(self, w: np.ndarray) -> np.ndarray:
+        """Weighted-form integral at this operator's zeta (1 in plain mode)."""
         n = self.grid.n
         w = np.asarray(w, dtype=float)
         if w.shape != (n + 1,):
             raise GridMismatch(f"expected {n + 1} samples")
         w0 = w[0]
         slope = (w[1] - w0) / self.grid.h
-        # the product rule of X^(zeta-1) (w - w0 - slope X), split by
-        # linearity so that no large ramp is rounded in the FFT
+        # w0 + slope X is integrated in closed form and the product rule
+        # of X^(zeta-1) (w - w0 - slope X) is split by linearity, so
+        # that no large ramp is rounded in the FFT
         out = (w0 * self._int_const + slope * self._slope_defect
-               + self._product_rule(self.to_plain * (w - w0)))
+               + self.to_weighted * self._conv(self.to_plain * (w - w0)))
         out[0] = 0.0
         return out
 

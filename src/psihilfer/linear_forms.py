@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, GridTooCoarse, ParamViolation
-from .frac_ops import (OrderParams, WeightedGridFunction, _abel_convolve,
-                       _abel_kernels, build_grid)
+from .frac_ops import (OrderParams, WeightedGridFunction, _abel_kernels,
+                       _abel_product_rule, build_grid)
 from .psi_maps import PsiMap
 from .rhs_expr import RhsExpr
 from .special_fn import ks_array, log_gamma, ml2_array
@@ -85,7 +85,8 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
     convolution reuses the linear-interpolant product weights for the
     power kernel and samples the smooth series factor at panel
     midpoints, where it is continuous all the way to zero separation
-    (value 1/Gamma(eta)).
+    (value 1/Gamma(eta)); it runs as one FFT product rule, like the
+    fractional integral.
     """
     if problem.mu is not None:
         raise ParamViolation("use solve_variable when mu is present")
@@ -102,8 +103,7 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
         mid = problem.lam * ((d - 0.5) * grid.h) ** p.eta
         e_mid = ml2_array(p.eta, p.eta, mid)
         cl, cr = _abel_kernels(p.eta, n)
-        scale = grid.h ** p.eta
-        conv = _abel_convolve(fv, cl * e_mid * scale, cr * e_mid * scale)
+        conv = _abel_product_rule(cl * e_mid, cr * e_mid, grid.h ** p.eta)(fv)
         w = w + grid.x_pow(1.0 - p.zeta) * conv
     return WeightedGridFunction(grid, p.zeta, w)
 

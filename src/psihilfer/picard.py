@@ -309,11 +309,7 @@ def residual_check(problem: CauchyProblem, solution: WeightedGridFunction) -> fl
         raise GridTooCoarse("residual check needs n >= 256")
     p = problem.params
     deriv = hilfer_derivative(p, solution)  # nodes 1..n-1
-    if p.zeta == 1.0:
-        y_plain = solution.w[1:n]
-    else:
-        y_plain = solution.w[1:n] * grid.x_pow(p.zeta - 1.0)[1:n]
-    fvals = problem.rhs.eval_many(grid.nodes[1:n], y_plain)
+    fvals = problem.rhs.eval_many(grid.nodes[1:n], solution.to_plain()[1:n])
     resid = deriv - fvals
     skip = max(n // 16, 1)
     xw = grid.x_pow(1.0 - p.zeta)[1:n]

@@ -101,6 +101,17 @@ def test_solve_determinism_across_runs_and_threads(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_solve_zero_start_writes_nothing_to_stderr(tmp_path, capsys):
+    # y_a = 0 with zeta < 1 puts 0 * inf at t = a if the plain
+    # reconstruction weights node 0
+    out = tmp_path / "sol.csv"
+    cfg = _write_config(tmp_path / "c.json", eta=0.6, nu=0.4, y_a=0.0,
+                        rhs="-1*y + 1", output_path=str(out), horizon=1.0)
+    assert main(["solve", cfg]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1].endswith(",")
+
+
 def test_linear_constant_and_cross_validation(tmp_path):
     out_s = tmp_path / "picard.csv"
     out_l = tmp_path / "linear.csv"

@@ -10,6 +10,7 @@ from psihilfer import (DomainViolation, FracIntegralOperator, GridMismatch,
                        build_grid, frac_integral, gronwall_bound,
                        hilfer_derivative, make_psi, monomial_oracle,
                        weighted_norm)
+from psihilfer.frac_ops import _abel_kernels
 
 G_15_OVER_G_2 = 0.8862269254527580137  # Gamma(1.5)/Gamma(2) = sqrt(pi)/2
 INV_G_15 = 1.1283791670955125739      # 1/Gamma(1.5) = 2/sqrt(pi)
@@ -161,6 +162,47 @@ def test_weighted_integral_zero_at_left_endpoint():
     out = frac_integral(grid, 0.5, wgf, mode="weighted")
     assert out.w[0] == 0.0
     assert out.zeta == 0.75
+
+
+def direct_product_rule(g, cl, cr):
+    """Reference product-rule sums by direct O(n^2) summation:
+    out[j] = sum over the panels left of node j of
+    cl(d) * g(left end) + cr(d) * g(right end)."""
+    n = len(cl)
+    out = np.zeros(n + 1)
+    out[1:] = np.convolve(g, cl)[:n] + np.convolve(g[1:], cr)[:n]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1000, 4096])
+@pytest.mark.parametrize("eta", [0.05, 0.3, 0.5, 1.0, 1.7])
+def test_plain_apply_matches_direct_sum(eta, n):
+    # the FFT product rule against the direct sum, on samples that do
+    # not vanish at t = a, with a steep layer and with no smoothness
+    rng = np.random.default_rng(n)
+    for psi, a, b in ((IDENT, 0.0, 1.0), (make_psi("log", (), (1.0, 3.0)), 1.0, 3.0)):
+        grid = build_grid(psi, a, b, n)
+        cl, cr = _abel_kernels(eta, n)
+        scale = grid.h ** eta / math.gamma(eta)
+        op = FracIntegralOperator(grid, eta)
+        unit = FracIntegralOperator(grid, eta, zeta=1.0)
+        for g in (rng.random(n + 1), np.exp(5.0 * grid.x),
+                  1.0 + 50.0 * grid.x ** 0.3):
+            direct = scale * direct_product_rule(g, cl, cr)
+            out = op.apply_plain(g)
+            assert np.max(np.abs(out - direct)) <= 1e-11 * np.max(np.abs(direct))
+            # plain mode is the weighted map at zeta = 1
+            assert np.array_equal(out, unit.apply_weighted(g))
+
+
+def test_to_plain_with_zero_weighted_start_is_warning_free():
+    # X^(zeta-1) is inf at t = a; 0 * inf there would warn (an error
+    # under the test configuration) before node 0 is overwritten
+    grid = build_grid(IDENT, 0.0, 1.0, 64)
+    w = np.sin(grid.x)
+    y = WeightedGridFunction(grid, 0.76, w).to_plain()
+    assert np.isnan(y[0])
+    assert np.array_equal(y[1:], w[1:] * grid.x_pow(-0.24)[1:])
 
 
 def test_plain_rejects_nonfinite_samples():

@@ -7,6 +7,8 @@ from psihilfer import (LinearProblem, OrderParams, ParamViolation,
                        hilfer_derivative, ks_coefficients, make_psi,
                        mittag_leffler2, parse, solve_constant, solve_variable,
                        variable_series_params)
+from psihilfer.frac_ops import _abel_kernels
+from psihilfer.special_fn import ml2_array
 
 IDENT = make_psi("identity", (), (0.0, 1.0))
 PARAMS = OrderParams(0.6, 0.4)
@@ -60,6 +62,29 @@ def test_forcing_superposition():
                                          b=1.0, y_a=0.7, lam=-0.5), 256)
     recombined = f1.w + f2.w - homog.w
     assert np.max(np.abs(both.w - recombined)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+@pytest.mark.parametrize("lam", [-3.0, -1.0, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("eta,nu", [(0.3, 1.0), (0.5, 0.5), (0.6, 0.4), (0.9, 0.0)])
+def test_forcing_matches_direct_product_sum(eta, nu, lam, n):
+    # the forcing convolution runs by FFT; the reference sums the same
+    # product rule directly, with f(a) != 0
+    params = OrderParams(eta, nu)
+    forcing = parse("1 + t + cos(3*t)")
+    sol = solve_constant(LinearProblem(psi=IDENT, params=params, a=0.0, b=1.0,
+                                       y_a=1.0, lam=lam, forcing=forcing), n)
+    grid = sol.grid
+    d = np.arange(1, n + 1, dtype=float)
+    e_mid = ml2_array(eta, eta, lam * ((d - 0.5) * grid.h) ** eta)
+    cl, cr = _abel_kernels(eta, n)
+    fv = forcing.eval_many(grid.nodes, np.zeros(n + 1))
+    direct = np.zeros(n + 1)
+    direct[1:] = (np.convolve(fv, cl * e_mid)[:n]
+                  + np.convolve(fv[1:], cr * e_mid)[:n])
+    ref = (ml2_array(eta, params.zeta, lam * grid.x ** eta)
+           + grid.x_pow(1.0 - params.zeta) * grid.h ** eta * direct)
+    assert np.max(np.abs(sol.w - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_constant_coefficient_residual():
