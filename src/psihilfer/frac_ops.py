@@ -9,10 +9,10 @@ the grid is uniform in u, the smooth factor is interpolated linearly on
 each panel and the singular kernel is integrated exactly against each
 linear piece.  The Abel weights depend only on the node distance, so
 evaluation at all nodes is a discrete convolution, run as one FFT
-(Hairer, Lubich & Schlichte 1985).  Weighted mode expects samples of
-w = X^(1-zeta) h, X = Psi(t)-Psi(a); plain mode expects finite samples
-of h and is weighted mode at zeta = 1.  The affine part w0 + s X of w
-(s the first-panel slope) is integrated in closed form, the remainder
+(Hairer, Lubich & Schlichte 1985).  Plain mode applies it to finite
+samples of h.  Weighted mode expects samples of w = X^(1-zeta) h,
+X = Psi(t)-Psi(a); the affine part w0 + s X of w (s the first-panel
+slope) is integrated in closed form, the remainder
 X^(zeta-1) (w - w0 - s X), zero on both ends of the first panel, by the
 product rule (Lubich 1985).  X^(zeta-1) times an affine function of u
 is integrated exactly, so the left-endpoint singularity never degrades
@@ -234,12 +234,12 @@ class FracIntegralOperator:
     """Reusable discretization of the fractional integral on one grid.
 
     Weighted mode (``zeta`` given) integrates h = X^(zeta-1) w from the
-    weighted samples w; plain mode (``zeta=None``) is the same map at
-    zeta = 1, where w = h.  Both keep the O(n) tables
-    ``to_plain = X^(zeta-1)`` and ``to_weighted = X^(1-zeta)`` (both 0
-    at t = a, 1 elsewhere in plain mode) and the kernel spectrum of one
-    FFT product rule.  The ``apply_*`` methods are deterministic linear
-    maps.
+    weighted samples w; plain mode (``zeta=None``) takes the tables at
+    zeta = 1, where w = h, and applies the product rule to h directly.
+    Both keep the O(n) tables ``to_plain = X^(zeta-1)`` and
+    ``to_weighted = X^(1-zeta)`` (both 0 at t = a, 1 elsewhere in plain
+    mode) and the kernel spectrum of one FFT product rule.  The
+    ``apply_*`` methods are deterministic linear maps.
     """
 
     def __init__(self, grid: PsiGrid, eta: float, zeta: float | None = None):
@@ -271,13 +271,15 @@ class FracIntegralOperator:
         """Integral of finite samples g at every node; exact for g affine in u."""
         if self.zeta is not None:
             raise GridMismatch("operator was built in weighted mode")
-        g = np.asarray(g, dtype=float)
+        g = self._samples(g)
         if not np.all(np.isfinite(g)):
             raise DomainViolation(
                 "plain samples must be finite; use weighted mode for "
                 "functions that are singular at the left endpoint"
             )
-        return self._apply(g)
+        # the product rule alone is exact on affine samples; the split of
+        # apply_weighted would only add slope-amplified FFT roundoff here
+        return self._conv(g)
 
     def apply_weighted(self, w: np.ndarray) -> np.ndarray:
         """Weighted-form integral of weighted samples.
@@ -288,14 +290,7 @@ class FracIntegralOperator:
         """
         if self.zeta is None:
             raise GridMismatch("operator was built in plain mode")
-        return self._apply(w)
-
-    def _apply(self, w: np.ndarray) -> np.ndarray:
-        """Weighted-form integral at this operator's zeta (1 in plain mode)."""
-        n = self.grid.n
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n + 1,):
-            raise GridMismatch(f"expected {n + 1} samples")
+        w = self._samples(w)
         w0 = w[0]
         slope = (w[1] - w0) / self.grid.h
         # w0 + slope X is integrated in closed form and the product rule
@@ -305,6 +300,12 @@ class FracIntegralOperator:
                + self.to_weighted * self._conv(self.to_plain * (w - w0)))
         out[0] = 0.0
         return out
+
+    def _samples(self, g: np.ndarray) -> np.ndarray:
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.grid.n + 1,):
+            raise GridMismatch(f"expected {self.grid.n + 1} samples")
+        return g
 
 
 def frac_integral(grid: PsiGrid, eta: float, samples, mode: str = "plain"):

@@ -178,7 +178,8 @@ def direct_product_rule(g, cl, cr):
 @pytest.mark.parametrize("eta", [0.05, 0.3, 0.5, 1.0, 1.7])
 def test_plain_apply_matches_direct_sum(eta, n):
     # the FFT product rule against the direct sum, on samples that do
-    # not vanish at t = a, with a steep layer and with no smoothness
+    # not vanish at t = a, with no smoothness (of one sign and of both,
+    # where the sums cancel) and with a steep layer
     rng = np.random.default_rng(n)
     for psi, a, b in ((IDENT, 0.0, 1.0), (make_psi("log", (), (1.0, 3.0)), 1.0, 3.0)):
         grid = build_grid(psi, a, b, n)
@@ -186,13 +187,13 @@ def test_plain_apply_matches_direct_sum(eta, n):
         scale = grid.h ** eta / math.gamma(eta)
         op = FracIntegralOperator(grid, eta)
         unit = FracIntegralOperator(grid, eta, zeta=1.0)
-        for g in (rng.random(n + 1), np.exp(5.0 * grid.x),
-                  1.0 + 50.0 * grid.x ** 0.3):
+        for g in (rng.random(n + 1), rng.standard_normal(n + 1),
+                  np.exp(5.0 * grid.x), 1.0 + 50.0 * grid.x ** 0.3):
             direct = scale * direct_product_rule(g, cl, cr)
-            out = op.apply_plain(g)
-            assert np.max(np.abs(out - direct)) <= 1e-11 * np.max(np.abs(direct))
-            # plain mode is the weighted map at zeta = 1
-            assert np.array_equal(out, unit.apply_weighted(g))
+            tol = 1e-11 * np.max(np.abs(direct))
+            assert np.max(np.abs(op.apply_plain(g) - direct)) <= tol
+        # on the steep-layer samples the weighted map at zeta = 1 agrees
+        assert np.max(np.abs(unit.apply_weighted(g) - direct)) <= tol
 
 
 def test_to_plain_with_zero_weighted_start_is_warning_free():
@@ -211,6 +212,12 @@ def test_plain_rejects_nonfinite_samples():
     bad[0] = np.inf
     with pytest.raises(DomainViolation):
         frac_integral(grid, 0.5, bad, mode="plain")
+
+
+def test_plain_checks_length_before_finiteness():
+    grid = build_grid(IDENT, 0.0, 1.0, 32)
+    with pytest.raises(GridMismatch):
+        frac_integral(grid, 0.5, np.full(40, np.nan), mode="plain")
 
 
 def test_weighted_rejects_wrong_grid():
