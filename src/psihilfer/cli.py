@@ -206,11 +206,15 @@ def _emit_solution(path: str, solution) -> None:
         fh.write("\n".join(["t,w,y", *rows]) + "\n")
 
 
+def _cauchy_problem(cfg: ProblemConfig) -> picard.CauchyProblem:
+    return picard.CauchyProblem(psi=cfg.psi, params=cfg.params, a=cfg.a,
+                                xi=cfg.xi, y_a=cfg.y_a, rhs=cfg.rhs,
+                                k_box=cfg.k_box)
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    problem = picard.CauchyProblem(psi=cfg.psi, params=cfg.params, a=cfg.a,
-                                   xi=cfg.xi, y_a=cfg.y_a, rhs=cfg.rhs,
-                                   k_box=cfg.k_box)
+    problem = _cauchy_problem(cfg)
     solution, report = picard.picard_solve(
         problem, n=cfg.n, tol=cfg.tol, max_iter=cfg.max_iter,
         L_override=cfg.L_override, horizon=cfg.horizon)
@@ -307,12 +311,9 @@ def _cmd_ml(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    problem = picard.CauchyProblem(psi=cfg.psi, params=cfg.params, a=cfg.a,
-                                   xi=cfg.xi, y_a=cfg.y_a, rhs=cfg.rhs,
-                                   k_box=cfg.k_box)
+    problem = _cauchy_problem(cfg)
     p = cfg.params
-    scout = build_grid(cfg.psi, cfg.a, cfg.a + cfg.xi, max(cfg.n, 64))
-    l_used, m_used = picard.estimate_constants(problem, scout, cfg.L_override)
+    l_used, m_used = picard.estimate_constants(problem, cfg.n, cfg.L_override)
     if args.norm_f is not None:
         norm_f = args.norm_f
         source = "user-norm-f"

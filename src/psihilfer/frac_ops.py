@@ -9,14 +9,14 @@ the grid is uniform in u, the smooth factor is interpolated linearly on
 each panel and the singular kernel is integrated exactly against each
 linear piece.  The Abel weights depend only on the node distance, so
 evaluation at all nodes is a discrete convolution, run as one FFT
-(Hairer, Lubich & Schlichte 1985).  Plain mode applies it to finite
-samples of h.  Weighted mode expects samples of w = X^(1-zeta) h,
-X = Psi(t)-Psi(a); the affine part w0 + s X of w (s the first-panel
-slope) is integrated in closed form, the remainder
-X^(zeta-1) (w - w0 - s X), zero on both ends of the first panel, by the
-product rule (Lubich 1985).  X^(zeta-1) times an affine function of u
-is integrated exactly, so the left-endpoint singularity never degrades
-the order; O(n log n) time, O(n) memory.
+(Hairer, Lubich & Schlichte 1985).  It takes samples of
+w = X^(1-zeta) h, X = Psi(t)-Psi(a).  At zeta = 1, w = h (plain samples)
+goes through the product rule as it is.  Otherwise the affine part
+w0 + s X of w (s the first-panel slope) is integrated in closed form,
+the remainder X^(zeta-1) (w - w0 - s X), zero on both ends of the first
+panel, by the product rule (Lubich 1985).  X^(zeta-1) times an affine
+function of u is integrated exactly, so the left-endpoint singularity
+never degrades the order; O(n log n) time, O(n) memory.
 
 The composite derivative of order eta and type nu chains
 I^{nu(1-eta)} after d/du after I^{(1-nu)(1-eta)}, where d/du is the
@@ -233,24 +233,22 @@ def _abel_product_rule(cl: np.ndarray, cr: np.ndarray, scale: float):
 class FracIntegralOperator:
     """Reusable discretization of the fractional integral on one grid.
 
-    Weighted mode (``zeta`` given) integrates h = X^(zeta-1) w from the
-    weighted samples w; plain mode (``zeta=None``) takes the tables at
-    zeta = 1, where w = h, and applies the product rule to h directly.
-    Both keep the O(n) tables ``to_plain = X^(zeta-1)`` and
-    ``to_weighted = X^(1-zeta)`` (both 0 at t = a, 1 elsewhere in plain
-    mode) and the kernel spectrum of one FFT product rule.  The
-    ``apply_*`` methods are deterministic linear maps.
+    ``apply_weighted`` integrates h = X^(zeta-1) w from the weighted
+    samples w.  At ``zeta = 1`` (the default) w = h takes no affine
+    split: it and ``apply_plain``, which only such an operator accepts,
+    are the bare FFT product rule.  The O(n) tables
+    ``to_plain = X^(zeta-1)`` and ``to_weighted = X^(1-zeta)`` are 0 at
+    t = a.  The ``apply_*`` methods are deterministic linear maps.
     """
 
-    def __init__(self, grid: PsiGrid, eta: float, zeta: float | None = None):
+    def __init__(self, grid: PsiGrid, eta: float, zeta: float = 1.0):
         if not eta > 0:
             raise DomainViolation(f"eta must be positive, got {eta!r}")
-        if zeta is not None and not zeta > 0.0:
+        if not zeta > 0.0:
             raise DomainViolation(f"zeta must be positive, got {zeta!r}")
         self.grid = grid
-        self.eta = float(eta)
-        self.zeta = None if zeta is None else float(zeta)
-        eta, z = self.eta, 1.0 if zeta is None else self.zeta
+        self.eta = eta = float(eta)
+        self.zeta = z = float(zeta)
         cl, cr = _abel_kernels(eta, grid.n)
         scale = grid.h ** eta * math.exp(-log_gamma(eta))
         self._conv = _abel_product_rule(cl, cr, scale)
@@ -258,27 +256,26 @@ class FracIntegralOperator:
         self.to_plain[0] = 0.0
         self.to_weighted = grid.x_pow(1.0 - z)
         self.to_weighted[0] = 0.0
-        # weighted-form integral of X^(zeta-1), and that of X^zeta minus
-        # its product-rule value (the product rule of w - w0 in apply
-        # already carries the slope part; this restores it exactly)
-        self._int_const = (math.exp(log_gamma(z) - log_gamma(z + eta))
-                           * grid.x_pow(eta))
-        self._slope_defect = (math.exp(log_gamma(z + 1.0) - log_gamma(z + 1.0 + eta))
-                              * grid.x_pow(eta + 1.0)
-                              - self.to_weighted * self._conv(grid.x_pow(z)))
+        if z != 1.0:
+            # weighted-form integral of X^(zeta-1), and that of X^zeta
+            # minus its product-rule value (the product rule of w - w0 in
+            # apply already carries the slope part; this restores it exactly)
+            self._int_const = (math.exp(log_gamma(z) - log_gamma(z + eta))
+                               * grid.x_pow(eta))
+            self._slope_defect = (math.exp(log_gamma(z + 1.0) - log_gamma(z + 1.0 + eta))
+                                  * grid.x_pow(eta + 1.0)
+                                  - self.to_weighted * self._conv(grid.x_pow(z)))
 
     def apply_plain(self, g: np.ndarray) -> np.ndarray:
         """Integral of finite samples g at every node; exact for g affine in u."""
-        if self.zeta is not None:
-            raise GridMismatch("operator was built in weighted mode")
+        if self.zeta != 1.0:
+            raise GridMismatch("plain samples need an operator with zeta = 1")
         g = self._samples(g)
         if not np.all(np.isfinite(g)):
             raise DomainViolation(
                 "plain samples must be finite; use weighted mode for "
                 "functions that are singular at the left endpoint"
             )
-        # the product rule alone is exact on affine samples; the split of
-        # apply_weighted would only add slope-amplified FFT roundoff here
         return self._conv(g)
 
     def apply_weighted(self, w: np.ndarray) -> np.ndarray:
@@ -288,9 +285,10 @@ class FracIntegralOperator:
         is (Psi-Psi(a))^(1-zeta) * (I h), which is finite everywhere and
         exactly zero at the left endpoint.
         """
-        if self.zeta is None:
-            raise GridMismatch("operator was built in plain mode")
         w = self._samples(w)
+        if self.zeta == 1.0:
+            # w = h, and the product rule alone is exact on affine samples
+            return self._conv(w)
         w0 = w[0]
         slope = (w[1] - w0) / self.grid.h
         # w0 + slope X is integrated in closed form and the product rule

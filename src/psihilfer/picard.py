@@ -114,44 +114,48 @@ def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
     return float(problem.psi.inverse(u_a + offset)) - problem.a
 
 
+def _weighted_composite(rhs: RhsExpr, grid: PsiGrid, zeta: float,
+                        w: np.ndarray, to_plain: np.ndarray,
+                        to_weighted: np.ndarray) -> np.ndarray:
+    """X^(1-zeta) f(t, X^(zeta-1) w) at every node, with the power tables
+    given off t = a.  f is evaluated at t = a only when zeta = 1; else y
+    is unbounded there and node 0 is quadratically extrapolated.
+    """
+    if zeta == 1.0:
+        return rhs.eval_many(grid.nodes, w)
+    phi = np.empty(grid.n + 1)
+    phi[1:] = to_weighted[1:] * rhs.eval_many(grid.nodes[1:], w[1:] * to_plain[1:])
+    phi[0] = 3.0 * phi[1] - 3.0 * phi[2] + phi[3]
+    return phi
+
+
 def picard_step(rhs: RhsExpr, grid: PsiGrid, op: FracIntegralOperator,
                 zeta: float, w0_const: float, w: np.ndarray) -> np.ndarray:
     """One application of the integral fixed-point map in weighted form.
 
-    Reconstructs y away from the endpoint, weights the composite
-    f(t, y(t)) and pushes it through the fractional integral; the value
-    of the weighted composite at t = a is quadratically extrapolated so
-    the singular endpoint is never evaluated.  The power factors come
-    from ``op``, a weighted operator on ``grid`` with this ``zeta``.
+    Pushes the weighted composite of f along w through the fractional
+    integral; the power tables come from ``op``, an operator on ``grid``
+    with this ``zeta``.
     """
-    n = grid.n
-    phi = np.empty(n + 1)
-    if zeta == 1.0:
-        y_plain = w
-        phi[:] = rhs.eval_many(grid.nodes, y_plain)
-    else:
-        y_plain = w[1:] * op.to_plain[1:]
-        phi[1:] = op.to_weighted[1:] * rhs.eval_many(grid.nodes[1:], y_plain)
-        phi[0] = 3.0 * phi[1] - 3.0 * phi[2] + phi[3]
+    phi = _weighted_composite(rhs, grid, zeta, w, op.to_plain, op.to_weighted)
     return w0_const + op.apply_weighted(phi)
 
 
-def estimate_constants(problem: CauchyProblem, scout: PsiGrid,
+def estimate_constants(problem: CauchyProblem, n: int,
                        L_override: float | None = None) -> tuple[float, float]:
     """Lipschitz constant L and weighted bound M of f on the trust box.
 
     L is ``L_override`` when given, else estimated on the box of radius
-    k_box around the initial iterate at the scout nodes.  M is the
-    weighted sup of f along the initial iterate plus Lipschitz slack
-    covering the whole box.
+    k_box around the initial iterate at the n-panel scout nodes on
+    [a, a + xi].  M is the weighted sup of f along the initial iterate
+    plus Lipschitz slack covering the whole box.
     """
     p = problem.params
+    scout = build_grid(problem.psi, problem.a, problem.a + problem.xi, n)
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
+    xp = scout.x_pow(p.zeta - 1.0)
     xw = scout.x_pow(1.0 - p.zeta)
-    if p.zeta == 1.0:
-        y0 = np.full(scout.n + 1, w0c)
-    else:
-        y0 = w0c * scout.x_pow(p.zeta - 1.0)[1:]
+    y0 = w0c * xp[1:]
     if L_override is not None:
         if not L_override > 0:
             raise DomainViolation("L_override must be positive")
@@ -161,12 +165,9 @@ def estimate_constants(problem: CauchyProblem, scout: PsiGrid,
                                     (problem.a, problem.a + problem.xi),
                                     (float(np.min(y0)) - problem.k_box,
                                      float(np.max(y0)) + problem.k_box))
-    if p.zeta == 1.0:
-        m0 = float(np.max(np.abs(problem.rhs.eval_many(scout.nodes, y0))))
-    else:
-        phi = xw[1:] * problem.rhs.eval_many(scout.nodes[1:], y0)
-        phi0 = 3.0 * phi[0] - 3.0 * phi[1] + phi[2]
-        m0 = max(float(np.max(np.abs(phi))), abs(phi0))
+    phi = _weighted_composite(problem.rhs, scout, p.zeta,
+                              np.full(n + 1, w0c), xp, xw)
+    m0 = float(np.max(np.abs(phi)))
     return l_used, m0 + l_used * problem.k_box * float(np.max(xw))
 
 
@@ -192,8 +193,7 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     p = problem.params
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
 
-    scout = build_grid(problem.psi, problem.a, problem.a + problem.xi, n)
-    l_used, m_used = estimate_constants(problem, scout, L_override)
+    l_used, m_used = estimate_constants(problem, n, L_override)
     chi_formula = existence_interval(problem, m_used)
     if horizon is None:
         chi_used = chi_formula

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from psihilfer import CauchyProblem, picard_solve
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                            load_config, main)
 from psihilfer.errors import ValidationError
@@ -162,6 +163,25 @@ def test_bounds_subcommand_chi(tmp_path, capsys):
     assert float(values["zeta"]) == 0.75
     apriori = [float(v) for k, v in values.items() if k.startswith("apriori")]
     assert all(b > a for a, b in zip(apriori[1:], apriori))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 512])
+@pytest.mark.parametrize("rhs, eta, nu", [("sin(t)*y^2", 0.6, 0.4),
+                                          ("-1*y", 0.5, 0.5),
+                                          ("-1*y", 0.5, 1.0)])
+def test_bounds_matches_solve_constants(tmp_path, capsys, rhs, eta, nu, n):
+    # bounds and an n-panel solve measure L and M on the same scout grid
+    cfg_path = _write_config(tmp_path / "c.json", rhs=rhs, eta=eta, nu=nu, n=n)
+    assert main(["bounds", cfg_path]) == EXIT_OK
+    out = capsys.readouterr().out
+    values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    cfg = load_config(cfg_path)
+    problem = CauchyProblem(psi=cfg.psi, params=cfg.params, a=cfg.a, xi=cfg.xi,
+                            y_a=cfg.y_a, rhs=cfg.rhs, k_box=cfg.k_box)
+    _, report = picard_solve(problem, n=n, max_iter=1)
+    assert float(values["chi"]) == report.chi_formula
+    assert float(values["L_used"]) == report.L_used
+    assert float(values["norm_f"]) == report.M_used
 
 
 def test_parse_check_pretty_prints(capsys):

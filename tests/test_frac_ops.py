@@ -192,8 +192,9 @@ def test_plain_apply_matches_direct_sum(eta, n):
             direct = scale * direct_product_rule(g, cl, cr)
             tol = 1e-11 * np.max(np.abs(direct))
             assert np.max(np.abs(op.apply_plain(g) - direct)) <= tol
-        # on the steep-layer samples the weighted map at zeta = 1 agrees
-        assert np.max(np.abs(unit.apply_weighted(g) - direct)) <= tol
+            # at zeta = 1 the weighted map is the same arithmetic
+            assert np.max(np.abs(unit.apply_weighted(g) - direct)) <= tol
+            assert np.array_equal(unit.apply_weighted(g), op.apply_plain(g))
 
 
 def test_to_plain_with_zero_weighted_start_is_warning_free():
@@ -212,6 +213,12 @@ def test_plain_rejects_nonfinite_samples():
     bad[0] = np.inf
     with pytest.raises(DomainViolation):
         frac_integral(grid, 0.5, bad, mode="plain")
+
+
+def test_plain_needs_unit_zeta():
+    grid = build_grid(IDENT, 0.0, 1.0, 32)
+    with pytest.raises(GridMismatch):
+        FracIntegralOperator(grid, 0.5, zeta=0.75).apply_plain(np.ones(33))
 
 
 def test_plain_checks_length_before_finiteness():
