@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 
-from psihilfer import (CauchyProblem, LinearProblem, OrderParams,
-                       WeightedGridFunction, build_grid, frac_integral,
-                       make_psi, monomial_oracle, parse, picard_solve,
-                       solve_constant)
+from psihilfer import (CauchyProblem, FracIntegralOperator, LinearProblem,
+                       OrderParams, build_grid, make_psi, monomial_oracle,
+                       parse, picard_solve, solve_constant)
 
 
 def quadrature_table(ns):
@@ -30,7 +29,7 @@ def quadrature_table(ns):
     prev = None
     for n in ns:
         grid = build_grid(psi, 0.0, 1.0, n)
-        vals = frac_integral(grid, 0.5, np.sqrt(grid.nodes), mode="plain")
+        vals = FracIntegralOperator(grid, 0.5).apply_plain(np.sqrt(grid.nodes))
         err = abs(vals[-1] - exact) / exact
         ratio = f"{prev / err:8.2f}" if prev else "       -"
         print(f"{n:>6} {err:12.3e} {ratio}")
@@ -44,10 +43,9 @@ def semigroup_table(ns):
     for n in ns:
         grid = build_grid(psi, 0.0, 1.0, n)
         h = np.sin(grid.nodes)
-        chained = frac_integral(grid, 0.3,
-                                frac_integral(grid, 0.4, h, mode="plain"),
-                                mode="plain")
-        direct = frac_integral(grid, 0.7, h, mode="plain")
+        chained = FracIntegralOperator(grid, 0.3).apply_plain(
+            FracIntegralOperator(grid, 0.4).apply_plain(h))
+        direct = FracIntegralOperator(grid, 0.7).apply_plain(h)
         defect = np.max(np.abs(chained - direct)) / np.max(np.abs(direct))
         print(f"{n:>6} {defect:12.3e}")
 
@@ -73,10 +71,9 @@ def weighted_table(ns):
     for n in ns:
         grid = build_grid(psi, 0.0, 1.0, n)
         x = grid.x
-        out = frac_integral(grid, eta, WeightedGridFunction(grid, zeta, x ** 2),
-                            mode="weighted")
+        out = FracIntegralOperator(grid, eta, zeta).apply_weighted(x ** 2)
         exact = x ** (1.0 - zeta) * monomial_oracle(psi, eta, zeta + 2.0, 0.0, x)
-        q_err = np.max(np.abs(out.w - exact))
+        q_err = np.max(np.abs(out - exact))
         sol, rep = picard_solve(problem, n=n, horizon=1.0)
         ref = solve_constant(LinearProblem(psi=psi, params=params, a=0.0,
                                            b=1.0, y_a=1.0, lam=-1.0), n)

@@ -101,10 +101,10 @@ def load_config(path: str) -> ProblemConfig:
 
     eta = number("eta")
     nu = number("nu")
-    eta_ok = eta is not None and 0.0 < eta < 1.0
+    eta_ok = eta is not None and 0.0 < eta <= 1.0
     nu_ok = nu is not None and 0.0 <= nu <= 1.0
     if eta is not None and not eta_ok:
-        problems.append("eta must lie in (0,1)")
+        problems.append("eta must lie in (0,1]")
     if nu is not None and not nu_ok:
         problems.append("nu must lie in [0,1]")
     params = OrderParams(eta, nu) if eta_ok and nu_ok else None
@@ -376,10 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="psihilfer",
         description="Fractional Cauchy problems: iterative solver, "
                     "closed forms and bound calculators.")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="reserved concurrency hint; accumulation order is fixed, so "
-             "results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the successive-approximation solver")

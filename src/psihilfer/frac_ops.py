@@ -94,10 +94,6 @@ class PsiGrid:
     def x_pow(self, p: float) -> np.ndarray:
         return _xpow(self.x, p)
 
-    def same_layout(self, other: "PsiGrid") -> bool:
-        return (self.psi is other.psi and self.a == other.a
-                and self.b == other.b and self.n == other.n)
-
 
 def build_grid(psi: PsiMap, a: float, b: float, n: int) -> PsiGrid:
     """Construct a transform-uniform grid with n panels on [a, b]."""
@@ -173,19 +169,16 @@ class WeightedGridFunction:
             return cls(grid, zeta, w)
         w = np.empty(grid.n + 1)
         w[1:] = y[1:] * grid.x_pow(1.0 - zeta)[1:]
-        if w0 is None:
-            if grid.n < 3:
-                raise GridTooCoarse("need n >= 3 to extrapolate w[0]")
-            w0 = 3.0 * w[1] - 3.0 * w[2] + w[3]
-        w[0] = w0
+        w[0] = _extrapolate_start(w) if w0 is None else w0
         return cls(grid, zeta, w)
 
 
-def weighted_norm(w) -> float:
-    """Max absolute weighted sample (the natural solution-space norm)."""
-    if isinstance(w, WeightedGridFunction):
-        return w.weighted_norm()
-    return float(np.max(np.abs(np.asarray(w, dtype=float))))
+def _extrapolate_start(v: np.ndarray) -> float:
+    """The t = a value of a weighted profile, quadratically extrapolated
+    from nodes 1..3 (node 0 is not read)."""
+    if len(v) < 4:
+        raise GridTooCoarse("need n >= 3 to extrapolate the value at t = a")
+    return 3.0 * v[1] - 3.0 * v[2] + v[3]
 
 
 def _abel_kernels(eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,28 +297,6 @@ class FracIntegralOperator:
         if g.shape != (self.grid.n + 1,):
             raise GridMismatch(f"expected {self.grid.n + 1} samples")
         return g
-
-
-def frac_integral(grid: PsiGrid, eta: float, samples, mode: str = "plain"):
-    """Fractional integral of sampled data on a transform-uniform grid.
-
-    mode="plain" takes an array of finite samples and returns the
-    integral values at the nodes.  mode="weighted" takes a
-    :class:`WeightedGridFunction` and returns one on the same grid with
-    the same exponent (the integral preserves the weighted class).
-    """
-    if mode == "plain":
-        op = FracIntegralOperator(grid, eta)
-        return op.apply_plain(np.asarray(samples, dtype=float))
-    if mode == "weighted":
-        if not isinstance(samples, WeightedGridFunction):
-            raise GridMismatch("weighted mode needs a WeightedGridFunction")
-        if not samples.grid.same_layout(grid):
-            raise GridMismatch("samples live on a different grid")
-        op = FracIntegralOperator(grid, eta, zeta=samples.zeta)
-        return WeightedGridFunction(grid, samples.zeta,
-                                    op.apply_weighted(samples.w))
-    raise DomainViolation(f"unknown mode {mode!r}")
 
 
 def monomial_oracle(psi: PsiMap, eta: float, delta: float, a: float, t) -> float | np.ndarray:

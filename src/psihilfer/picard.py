@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DomainViolation, GridTooCoarse
 from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
-                       WeightedGridFunction, build_grid, hilfer_derivative)
+                       WeightedGridFunction, _extrapolate_start, build_grid,
+                       hilfer_derivative)
 from .psi_maps import PsiMap, psi_increment
 from .rhs_expr import RhsExpr, lipschitz_estimate
 from .special_fn import log_gamma, mittag_leffler2, ml2_tail_sums
@@ -125,19 +126,19 @@ def _weighted_composite(rhs: RhsExpr, grid: PsiGrid, zeta: float,
         return rhs.eval_many(grid.nodes, w)
     phi = np.empty(grid.n + 1)
     phi[1:] = to_weighted[1:] * rhs.eval_many(grid.nodes[1:], w[1:] * to_plain[1:])
-    phi[0] = 3.0 * phi[1] - 3.0 * phi[2] + phi[3]
+    phi[0] = _extrapolate_start(phi)
     return phi
 
 
-def picard_step(rhs: RhsExpr, grid: PsiGrid, op: FracIntegralOperator,
-                zeta: float, w0_const: float, w: np.ndarray) -> np.ndarray:
+def picard_step(rhs: RhsExpr, op: FracIntegralOperator, w0_const: float,
+                w: np.ndarray) -> np.ndarray:
     """One application of the integral fixed-point map in weighted form.
 
     Pushes the weighted composite of f along w through the fractional
-    integral; the power tables come from ``op``, an operator on ``grid``
-    with this ``zeta``.
+    integral ``op``, whose grid, zeta and power tables it uses.
     """
-    phi = _weighted_composite(rhs, grid, zeta, w, op.to_plain, op.to_weighted)
+    phi = _weighted_composite(rhs, op.grid, op.zeta, w, op.to_plain,
+                              op.to_weighted)
     return w0_const + op.apply_weighted(phi)
 
 
@@ -213,7 +214,7 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     if keep_history:
         report.history.append(w.copy())
     for _ in range(max_iter):
-        w_new = picard_step(problem.rhs, grid, op, p.zeta, w0c, w)
+        w_new = picard_step(problem.rhs, op, w0c, w)
         delta = float(np.max(np.abs(w_new - w)))
         gap = np.abs(w_new - w0c)
         report.weighted_deltas.append(delta)
@@ -265,15 +266,6 @@ def apriori_error_bound_sequence(M: float, L: float, n_max: int,
     z = L * x ** params.eta
     tails = ml2_tail_sums(params.eta, params.zeta, z, n_max)
     return (M * math.exp(log_gamma(params.zeta)) / L) * tails
-
-
-def apriori_error_bound(M: float, L: float, n_iter: int, params: OrderParams,
-                        psi: PsiMap, a: float, chi: float) -> float:
-    """Guaranteed weighted distance to the solution after n_iter steps."""
-    if not L > 0:
-        raise DomainViolation("L must be positive")
-    seq = apriori_error_bound_sequence(M, L, n_iter, params, psi, a, chi)
-    return float(seq[n_iter])
 
 
 def continuous_dependence_bound(y_a: float, z_a: float, L: float,

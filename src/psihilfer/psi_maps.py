@@ -39,9 +39,6 @@ class PsiMap:
     def value(self, t):
         return self._eval(t)
 
-    def __call__(self, t):
-        return self._eval(t)
-
     def deriv(self, t):
         return self._deriv(t)
 

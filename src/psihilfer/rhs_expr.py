@@ -296,10 +296,6 @@ def parse(text: str) -> RhsExpr:
     return RhsExpr(_Parser(text).parse(), text)
 
 
-def evaluate(expr: RhsExpr, t: float, y: float) -> float:
-    return expr.eval(t, y)
-
-
 def _halton(count: int, base: int) -> np.ndarray:
     """Radical-inverse sequence: deterministic, no RNG state involved."""
     out = np.empty(count)

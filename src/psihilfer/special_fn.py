@@ -77,11 +77,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 via the log-gamma kernel."""
-    return math.exp(log_gamma(x))
-
-
 def _is_small_positive_int(x: float) -> int | None:
     p = round(x)
     if 1 <= p <= 64 and abs(x - p) < 1e-12:

@@ -39,7 +39,7 @@ def test_load_minimal_config(tmp_path):
 def test_load_rejects_bad_eta(tmp_path):
     with pytest.raises(ValidationError) as exc_info:
         load_config(_write_config(tmp_path / "c.json", eta=1.5))
-    assert any("eta must lie in (0,1)" in v for v in exc_info.value.violations)
+    assert any("eta must lie in (0,1]" in v for v in exc_info.value.violations)
 
 
 def test_load_rejects_small_mu(tmp_path):
@@ -61,7 +61,7 @@ def test_load_reports_eta_and_nu_together(tmp_path):
     with pytest.raises(ValidationError) as exc_info:
         load_config(_write_config(tmp_path / "c.json", eta=1.5, nu=2.0))
     joined = "\n".join(exc_info.value.violations)
-    assert "eta must lie in (0,1)" in joined
+    assert "eta must lie in (0,1]" in joined
     assert "nu must lie in [0,1]" in joined
 
 
@@ -91,15 +91,27 @@ def test_solve_writes_csv_and_report(tmp_path):
 
 def test_solve_determinism_across_runs_and_threads(tmp_path):
     outputs, reports = [], []
-    for run, threads in ((0, "1"), (1, "1"), (2, "8")):
+    for run in range(3):
         out = tmp_path / f"sol{run}.csv"
         cfg = _write_config(tmp_path / f"c{run}.json", output_path=str(out),
                             horizon=1.0, n=256)
-        assert main(["--threads", threads, "solve", cfg]) == EXIT_OK
+        assert main(["solve", cfg]) == EXIT_OK
         outputs.append(out.read_bytes())
         reports.append((tmp_path / f"sol{run}.csv.report.json").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+def test_solve_accepts_eta_one(tmp_path, nu):
+    # eta = 1 is the classical ODE y' = -y, y(0) = 1, for every type nu
+    out = tmp_path / "sol.csv"
+    cfg = _write_config(tmp_path / "c.json", eta=1.0, nu=nu, horizon=1.0,
+                        n=256, output_path=str(out))
+    assert main(["solve", cfg]) == EXIT_OK
+    t, w = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1), unpack=True)
+    assert t[-1] == 1.0
+    assert np.max(np.abs(w - np.exp(-t))) < 1e-6
 
 
 def test_solve_zero_start_writes_nothing_to_stderr(tmp_path, capsys):

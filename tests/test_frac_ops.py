@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from psihilfer import (DomainViolation, FracIntegralOperator, GridMismatch,
                        GridTooCoarse, OrderParams, WeightedGridFunction,
-                       build_grid, frac_integral, gronwall_bound,
-                       hilfer_derivative, make_psi, monomial_oracle,
-                       weighted_norm)
+                       build_grid, gronwall_bound, hilfer_derivative,
+                       make_psi, monomial_oracle)
 from psihilfer.frac_ops import _abel_kernels
 
 G_15_OVER_G_2 = 0.8862269254527580137  # Gamma(1.5)/Gamma(2) = sqrt(pi)/2
@@ -50,13 +49,13 @@ def test_monomial_oracle_values():
 
 def test_plain_integral_matches_oracle_at_endpoint():
     grid = build_grid(IDENT, 0.0, 1.0, 1024)
-    vals = frac_integral(grid, 0.5, np.sqrt(grid.nodes), mode="plain")
+    vals = FracIntegralOperator(grid, 0.5).apply_plain(np.sqrt(grid.nodes))
     assert abs(vals[-1] - G_15_OVER_G_2) < 1e-4 * G_15_OVER_G_2
 
 
 def test_plain_integral_order_one_is_running_integral():
     grid = build_grid(IDENT, 0.0, 1.0, 128)
-    vals = frac_integral(grid, 1.0, np.ones(129), mode="plain")
+    vals = FracIntegralOperator(grid, 1.0).apply_plain(np.ones(129))
     assert np.allclose(vals, grid.nodes, atol=1e-14)
 
 
@@ -64,7 +63,7 @@ def test_log_map_monomial():
     psi = make_psi("log", (), (1.0, math.e))
     grid = build_grid(psi, 1.0, math.e, 1024)
     h = np.sqrt(np.log(grid.nodes))
-    vals = frac_integral(grid, 0.5, h, mode="plain")
+    vals = FracIntegralOperator(grid, 0.5).apply_plain(h)
     assert abs(vals[-1] - G_15_OVER_G_2) < 1e-4 * G_15_OVER_G_2
 
 
@@ -73,9 +72,8 @@ def test_weighted_integral_exact_on_monomials():
     # a constant weighted profile must reproduce the closed form to roundoff
     for eta, delta in [(0.3, 0.7), (0.5, 0.75), (0.9, 0.51), (0.4, 2.5)]:
         grid = build_grid(IDENT, 0.0, 1.0, 256)
-        wgf = WeightedGridFunction(grid, delta, np.ones(257))
-        out = frac_integral(grid, eta, wgf, mode="weighted")
-        plain = out.w[1:] * grid.x_pow(delta - 1.0)[1:]
+        out = FracIntegralOperator(grid, eta, delta).apply_weighted(np.ones(257))
+        plain = out[1:] * grid.x_pow(delta - 1.0)[1:]
         exact = monomial_oracle(IDENT, eta, delta, 0.0, grid.nodes[1:])
         assert np.max(np.abs(plain - exact) / np.abs(exact)) < 1e-12
 
@@ -104,9 +102,8 @@ def test_weighted_integral_converges_on_non_affine_profiles(profile, eta, zeta):
         grid = build_grid(IDENT, 0.0, 1.0, n)
         x = grid.x
         w = x ** 2 if profile == "square" else np.cos(3.0 * x) + x ** 2
-        out = frac_integral(grid, eta, WeightedGridFunction(grid, zeta, w),
-                            mode="weighted")
-        errs.append(np.max(np.abs(out.w[n // 16:] - exact(x[n // 16:]))))
+        out = FracIntegralOperator(grid, eta, zeta).apply_weighted(w)
+        errs.append(np.max(np.abs(out[n // 16:] - exact(x[n // 16:]))))
     assert errs[0] / errs[1] >= 2.0 and errs[1] / errs[2] >= 2.0, errs
     assert errs[2] < 1e-6, errs
 
@@ -158,10 +155,8 @@ def test_weighted_operator_memory_is_linear_in_n():
 
 def test_weighted_integral_zero_at_left_endpoint():
     grid = build_grid(IDENT, 0.0, 1.0, 64)
-    wgf = WeightedGridFunction(grid, 0.75, np.cos(grid.nodes))
-    out = frac_integral(grid, 0.5, wgf, mode="weighted")
-    assert out.w[0] == 0.0
-    assert out.zeta == 0.75
+    out = FracIntegralOperator(grid, 0.5, 0.75).apply_weighted(np.cos(grid.nodes))
+    assert out[0] == 0.0
 
 
 def direct_product_rule(g, cl, cr):
@@ -212,7 +207,7 @@ def test_plain_rejects_nonfinite_samples():
     bad = np.ones(33)
     bad[0] = np.inf
     with pytest.raises(DomainViolation):
-        frac_integral(grid, 0.5, bad, mode="plain")
+        FracIntegralOperator(grid, 0.5).apply_plain(bad)
 
 
 def test_plain_needs_unit_zeta():
@@ -224,7 +219,7 @@ def test_plain_needs_unit_zeta():
 def test_plain_checks_length_before_finiteness():
     grid = build_grid(IDENT, 0.0, 1.0, 32)
     with pytest.raises(GridMismatch):
-        frac_integral(grid, 0.5, np.full(40, np.nan), mode="plain")
+        FracIntegralOperator(grid, 0.5).apply_plain(np.full(40, np.nan))
 
 
 def test_weighted_rejects_wrong_grid():
@@ -232,15 +227,15 @@ def test_weighted_rejects_wrong_grid():
     other = build_grid(IDENT, 0.0, 1.0, 64)
     wgf = WeightedGridFunction(other, 0.75, np.ones(65))
     with pytest.raises(GridMismatch):
-        frac_integral(grid, 0.5, wgf, mode="weighted")
+        FracIntegralOperator(grid, 0.5, 0.75).apply_weighted(wgf.w)
 
 
 def test_semigroup_composition():
     grid = build_grid(IDENT, 0.0, 1.0, 1024)
     g = np.sin(grid.nodes)
-    first = frac_integral(grid, 0.4, g, mode="plain")
-    chained = frac_integral(grid, 0.3, first, mode="plain")
-    direct = frac_integral(grid, 0.7, g, mode="plain")
+    first = FracIntegralOperator(grid, 0.4).apply_plain(g)
+    chained = FracIntegralOperator(grid, 0.3).apply_plain(first)
+    direct = FracIntegralOperator(grid, 0.7).apply_plain(g)
     assert np.max(np.abs(chained - direct)) <= 1e-3 * np.max(np.abs(direct))
 
 
@@ -258,16 +253,16 @@ def test_positivity_preserved():
     grid = build_grid(IDENT, 0.0, 1.0, 128)
     rng = np.random.default_rng(7)
     g = rng.random(129)
-    assert np.all(frac_integral(grid, 0.35, g, mode="plain") >= 0.0)
-    wgf = WeightedGridFunction(grid, 0.6, rng.random(129))
-    assert np.all(frac_integral(grid, 0.35, wgf, mode="weighted").w >= 0.0)
+    assert np.all(FracIntegralOperator(grid, 0.35).apply_plain(g) >= 0.0)
+    w = rng.random(129)
+    assert np.all(FracIntegralOperator(grid, 0.35, 0.6).apply_weighted(w) >= 0.0)
 
 
 def test_convergence_order_at_least_one():
     errs = []
     for n in (256, 512, 1024):
         grid = build_grid(IDENT, 0.0, 1.0, n)
-        vals = frac_integral(grid, 0.5, np.sqrt(grid.nodes), mode="plain")
+        vals = FracIntegralOperator(grid, 0.5).apply_plain(np.sqrt(grid.nodes))
         exact = monomial_oracle(IDENT, 0.5, 1.5, 0.0, 1.0)
         errs.append(abs(vals[-1] - exact))
     assert errs[0] / errs[1] >= 2.0
@@ -278,9 +273,8 @@ def test_convergence_order_at_least_one():
 @given(st.floats(0.05, 0.95), st.floats(0.55, 2.95))
 def test_oracle_equivalence_random_orders(eta, delta):
     grid = build_grid(IDENT, 0.0, 1.0, 256)
-    wgf = WeightedGridFunction(grid, delta, np.ones(257))
-    out = frac_integral(grid, eta, wgf, mode="weighted")
-    plain = out.w[1:] * grid.x_pow(delta - 1.0)[1:]
+    out = FracIntegralOperator(grid, eta, delta).apply_weighted(np.ones(257))
+    plain = out[1:] * grid.x_pow(delta - 1.0)[1:]
     exact = monomial_oracle(IDENT, eta, delta, 0.0, grid.nodes[1:])
     assert np.max(np.abs(plain - exact) / np.abs(exact)) < 1e-10
 
@@ -299,12 +293,11 @@ def test_weighted_plain_roundtrip():
 
 def test_weighted_norm_examples():
     grid = build_grid(IDENT, 0.0, 1.0, 2)
-    assert weighted_norm(np.zeros(5)) == 0.0
-    assert weighted_norm(np.array([1.0, -3.0, 2.0])) == 3.0
     # weighting the initial monomial profile cancels it exactly
     w0 = 1.7 / math.gamma(0.75)
     wgf = WeightedGridFunction(grid, 0.75, np.full(3, w0))
-    assert weighted_norm(wgf) == w0
+    assert wgf.weighted_norm() == w0
+    assert WeightedGridFunction(grid, 0.75, [1.0, -3.0, 2.0]).weighted_norm() == 3.0
 
 
 def test_hilfer_kills_the_weight_monomial():
@@ -330,7 +323,7 @@ def test_hilfer_inverts_the_integral_on_smooth_input():
     n = 2048
     grid = build_grid(IDENT, 0.0, 1.0, n)
     f = np.cos(2.0 * grid.nodes) + 0.5
-    integ = frac_integral(grid, params.eta, f, mode="plain")
+    integ = FracIntegralOperator(grid, params.eta).apply_plain(f)
     wgf = WeightedGridFunction.from_plain(grid, params.zeta, integ)
     deriv = hilfer_derivative(params, wgf)
     xw = grid.x_pow(1.0 - params.zeta)[1:n]

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from psihilfer import (CauchyProblem, DomainViolation, FracIntegralOperator,
-                       GridTooCoarse, LinearProblem, OrderParams,
-                       apriori_error_bound, apriori_error_bound_sequence,
+from psihilfer import (CauchyProblem, FracIntegralOperator, GridTooCoarse,
+                       LinearProblem, OrderParams,
+                       apriori_error_bound_sequence,
                        continuous_dependence_bound, existence_interval,
                        make_psi, parse, picard_solve, picard_step,
                        residual_check, solve_constant)
+from psihilfer.picard import estimate_constants
 
 IDENT = make_psi("identity", (), (0.0, 2.0))
 
@@ -105,14 +106,9 @@ def test_apriori_zero_forcing():
 
 def test_apriori_reference_value():
     # M = 1, L = 1, zeta = 0.75, X = 0.5: two-term series evaluation
-    val = apriori_error_bound(1.0, 1.0, 0, OrderParams(0.5, 0.5),
-                              IDENT, 0.0, 0.5)
+    val = apriori_error_bound_sequence(1.0, 1.0, 0, OrderParams(0.5, 0.5),
+                                       IDENT, 0.0, 0.5)[0]
     assert abs(val - APRIORI0_REFERENCE) < 1e-12 * APRIORI0_REFERENCE
-
-
-def test_apriori_requires_positive_lipschitz():
-    with pytest.raises(DomainViolation):
-        apriori_error_bound(1.0, 0.0, 3, OrderParams(0.5, 0.5), IDENT, 0.0, 0.5)
 
 
 def test_continuous_dependence_trivial_and_limit():
@@ -142,7 +138,7 @@ def test_fixed_point_under_one_more_step():
     grid = sol.grid
     op = FracIntegralOperator(grid, prob.params.eta, zeta=prob.params.zeta)
     w0c = prob.y_a / math.gamma(prob.params.zeta)
-    again = picard_step(prob.rhs, grid, op, prob.params.zeta, w0c, sol.w)
+    again = picard_step(prob.rhs, op, w0c, sol.w)
     assert np.max(np.abs(again - sol.w)) <= tol
 
 
@@ -156,7 +152,7 @@ def test_unique_limit_from_perturbed_start():
     w = np.full(grid.n + 1, w0c) + 0.3 * np.sin(7.0 * grid.nodes)
     w[0] = w0c
     for _ in range(200):
-        w_new = picard_step(prob.rhs, grid, op, prob.params.zeta, w0c, w)
+        w_new = picard_step(prob.rhs, op, w0c, w)
         if np.max(np.abs(w_new - w)) <= tol:
             w = w_new
             break
@@ -196,6 +192,13 @@ def test_domain_error_propagates_from_rhs():
 def test_solver_rejects_coarse_grid():
     with pytest.raises(GridTooCoarse):
         picard_solve(_problem(), n=8)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constants_need_three_panels_to_extrapolate(n):
+    # zeta < 1: the composite at t = a is extrapolated from nodes 1..3
+    with pytest.raises(GridTooCoarse):
+        estimate_constants(_problem(eta=0.6, nu=0.4), n)
 
 
 def test_box_exit_is_flag_not_error():
