@@ -80,23 +80,22 @@ def _bisect_inverse(eval_fn, domain):
     lo, hi = domain
 
     def inverse(u):
+        # One bisection over all targets: each step is one eval_fn call on
+        # the whole array, and only brackets wider than the tolerance move.
         u_arr = np.asarray(u, dtype=float)
-        scalar = u_arr.ndim == 0
-        u_arr = np.atleast_1d(u_arr)
-        out = np.empty_like(u_arr)
-        for idx, target in enumerate(u_arr):
-            a, b = lo, hi
-            fa = eval_fn(a) - target
-            if fa > 0 or eval_fn(b) - target < 0:
-                raise DomainViolation(f"inverse target {target!r} outside range")
-            while b - a > _BISECT_ATOL:
-                mid = 0.5 * (a + b)
-                if eval_fn(mid) - target <= 0:
-                    a = mid
-                else:
-                    b = mid
-            out[idx] = 0.5 * (a + b)
-        return float(out[0]) if scalar else out
+        targets = u_arr.ravel()
+        # NaN fails both comparisons, so non-finite targets are rejected too
+        bad = ~((eval_fn(lo) - targets <= 0) & (eval_fn(hi) - targets >= 0))
+        if bad.any():
+            raise DomainViolation(f"inverse target {targets[bad][0]!r} outside range")
+        a, b = np.full_like(targets, lo), np.full_like(targets, hi)
+        while (active := b - a > _BISECT_ATOL).any():
+            mid = 0.5 * (a + b)
+            left = np.asarray(eval_fn(mid), dtype=float) - targets <= 0
+            a = np.where(active & left, mid, a)
+            b = np.where(active & ~left, mid, b)
+        out = (0.5 * (a + b)).reshape(u_arr.shape)
+        return float(out) if out.ndim == 0 else out
 
     return inverse
 
@@ -165,9 +164,13 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     """Wrap user callables as a transform map.
 
     Monotonicity is spot-checked at 64 interior sample points, not
-    proven.  When ``inverse_fn`` is omitted the inverse is computed by
-    bisection to 1e-13 absolute tolerance, which is robust for any
-    strictly monotone transform.
+    proven.  ``eval_fn`` is evaluated on floats and on 1-D numpy arrays.
+    When ``inverse_fn`` is omitted the inverse is one bisection over all
+    targets at once, to 1e-13 absolute tolerance: each step calls
+    ``eval_fn`` once on an array, so any number of targets costs about
+    ``log2((hi - lo) / 1e-13)`` calls (45 on [0, 2]).  It keeps the input
+    shape and raises :class:`DomainViolation` for targets that are not
+    finite or lie outside ``[eval_fn(lo), eval_fn(hi)]``.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:

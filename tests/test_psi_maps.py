@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from psihilfer import (DomainViolation, NonMonotone, make_custom_psi,
-                       make_psi, psi_from_config, psi_increment)
+from psihilfer import (DomainViolation, NonMonotone, build_grid,
+                       make_custom_psi, make_psi, psi_from_config,
+                       psi_increment)
 from psihilfer.psi_maps import roundtrip_error
 
 
@@ -63,6 +64,99 @@ def test_custom_bisection_inverse():
                           (0.0, 2.0))
     for t in (0.1, 0.77, 1.5, 2.0):
         assert abs(psi.inverse(psi.value(t)) - t) < 1e-12
+
+
+def _cubic_psi(domain=(0.0, 2.0)):
+    return make_custom_psi(lambda t: np.asarray(t, dtype=float) ** 3 + t,
+                           lambda t: 3.0 * np.asarray(t, dtype=float) ** 2 + 1.0,
+                           domain)
+
+
+def _sine_psi(s):
+    return make_custom_psi(lambda t: np.asarray(t, dtype=float) + s * np.sin(t),
+                           lambda t: 1.0 + s * np.cos(np.asarray(t, dtype=float)),
+                           (0.0, 2.0))
+
+
+def _reference_inverse(eval_fn, lo, hi, targets):
+    """The per-node scalar bisection the vectorised inverse must reproduce."""
+    out = np.empty(len(targets))
+    for idx, target in enumerate(targets):
+        a, b = lo, hi
+        if eval_fn(a) - target > 0 or eval_fn(b) - target < 0:
+            raise DomainViolation(f"inverse target {target!r} outside range")
+        while b - a > 1e-13:
+            mid = 0.5 * (a + b)
+            if eval_fn(mid) - target <= 0:
+                a = mid
+            else:
+                b = mid
+        out[idx] = 0.5 * (a + b)
+    return out
+
+
+# On [0, 2] every bracket halves exactly and all targets stop at the same
+# step; a width of 2^44 * 1e-13 puts the stop between steps 44 and 45, so
+# targets stop at different steps depending on rounding.
+@pytest.mark.parametrize("make", [
+    lambda: _sine_psi(0.1), lambda: _sine_psi(0.4), _cubic_psi,
+    lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)),
+], ids=["sin0.1", "sin0.4", "cubic", "cubic-ragged-stop"])
+@pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
+def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
+    psi = make()
+    lo, hi = psi.domain
+    u0, u1 = float(psi.value(lo)), float(psi.value(hi))
+    h = (u1 - u0) / n
+    ref = np.concatenate(([lo], _reference_inverse(
+        psi.value, lo, hi, u0 + np.arange(1, n) * h), [hi]))
+    assert np.array_equal(build_grid(psi, lo, hi, n).nodes, ref)
+    ends = np.array([psi.value(lo), psi.value(hi)], dtype=float)
+    assert np.array_equal(psi.inverse(ends), _reference_inverse(psi.value, lo, hi, ends))
+
+
+def test_custom_inverse_is_vectorised():
+    calls = 0
+
+    def eval_fn(t):
+        nonlocal calls
+        calls += 1
+        return np.asarray(t, dtype=float) + 0.4 * np.sin(t)
+
+    psi = make_custom_psi(eval_fn, lambda t: 1.0 + 0.4 * np.cos(t), (0.0, 2.0))
+    calls = 0
+    build_grid(psi, 0.0, 1.0, 4096)
+    assert calls < 100
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_custom_inverse_rejects_nonfinite_target(target):
+    psi = _cubic_psi()
+    with pytest.raises(DomainViolation):
+        psi.inverse(target)
+    with pytest.raises(DomainViolation):
+        psi.inverse(np.array([1.0, target, 2.0]))
+
+
+def test_custom_inverse_names_target_outside_range():
+    psi = _cubic_psi()
+    with pytest.raises(DomainViolation, match="10.5"):
+        psi.inverse(np.array([1.0, 10.5]))
+    with pytest.raises(DomainViolation, match="-0.25"):
+        psi.inverse(-0.25)
+
+
+def test_custom_inverse_keeps_input_shape():
+    psi = _cubic_psi()
+    ts = np.linspace(0.1, 1.9, 6).reshape(2, 3)
+    back = psi.inverse(psi.value(ts))
+    assert back.shape == (2, 3)
+    assert np.array_equal(back.ravel(), psi.inverse(psi.value(ts).ravel()))
+    assert np.max(np.abs(back - ts)) < 1e-12
+    assert isinstance(psi.inverse(psi.value(0.5)), float)
+    assert psi.inverse(np.array([0.3])).shape == (1,)
+    assert psi.inverse(np.empty(0)).shape == (0,)
+    assert psi.inverse(np.empty((0, 3))).shape == (0, 3)
 
 
 @pytest.mark.parametrize("kind,params,domain", [
