@@ -31,7 +31,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _CONFIG_KEYS = {
-    "psi", "eta", "nu", "a", "xi", "y_a", "rhs", "k_box", "k", "n",
+    "psi", "eta", "nu", "a", "xi", "y_a", "rhs", "k_box", "n",
     "tol", "max_iter", "L_override", "lambda", "mu", "forcing",
     "output_path", "horizon",
 }
@@ -133,9 +133,7 @@ def load_config(path: str) -> ProblemConfig:
         except ExprSyntaxError as exc:
             problems.append(f"rhs: {exc}")
 
-    k_box = number("k_box", required="k" not in data)
-    if k_box is None and "k" in data:
-        k_box = number("k", required=False)
+    k_box = number("k_box")
     if k_box is not None and k_box <= 0:
         problems.append("k_box must be positive")
 
@@ -245,32 +243,29 @@ def _cmd_linear(args) -> int:
     cfg = load_config(args.config)
     if cfg.lam is None:
         raise ValidationError(["linear mode requires a 'lambda' entry"])
-    mu = cfg.mu if args.mode == "variable" else None
-    if args.mode == "variable" and mu is None:
-        raise ValidationError(["variable mode requires a 'mu' entry"])
     problem = linear_forms.LinearProblem(
         psi=cfg.psi, params=cfg.params, a=cfg.a, b=cfg.a + cfg.xi,
-        y_a=cfg.y_a, lam=cfg.lam, mu=mu,
-        forcing=cfg.forcing if args.mode == "constant" else None)
-    if args.mode == "constant":
-        solution = linear_forms.solve_constant(problem, cfg.n)
-    else:
-        solution = linear_forms.solve_variable(problem, cfg.n)
-    _emit_solution(cfg.output_path, solution)
+        y_a=cfg.y_a, lam=cfg.lam, mu=cfg.mu, forcing=cfg.forcing)
+    solve = (linear_forms.solve_constant if cfg.mu is None
+             else linear_forms.solve_variable)
+    _emit_solution(cfg.output_path, solve(problem, cfg.n))
     return EXIT_OK
 
 
 def _cmd_frint(args) -> int:
     rows = []
     with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
+            parts = line.split(",")
             try:
                 rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue  # header or comment line
+            except (ValueError, IndexError):
+                if lineno > 1:  # only the first line may be a header
+                    raise ValidationError(
+                        [f"input line {lineno} is not a numeric t,h row"]
+                    ) from None
     if len(rows) < 2:
         raise ValidationError(["input CSV needs at least two numeric rows"])
     if args.psi == "power" and args.rho is None:
@@ -382,10 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("config")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_lin = sub.add_parser("linear", help="evaluate a closed-form linear solution")
+    p_lin = sub.add_parser("linear", help="evaluate a closed-form linear "
+                                          "solution: the Kilbas-Saigo series "
+                                          "when the config sets mu, else the "
+                                          "Mittag-Leffler formula")
     p_lin.add_argument("config")
-    p_lin.add_argument("--mode", choices=("constant", "variable"),
-                       default="constant")
     p_lin.set_defaults(func=_cmd_linear)
 
     p_fr = sub.add_parser("frint", help="fractional integral of tabulated data")

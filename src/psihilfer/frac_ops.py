@@ -64,15 +64,9 @@ class OrderParams:
 
 
 def _xpow(x: np.ndarray, p: float) -> np.ndarray:
-    """x**p with the x = 0 entry resolved by the sign of p."""
-    x = np.asarray(x, dtype=float)
-    if p == 0.0:
-        return np.ones_like(x)
+    """x**p; at x = 0 that is 1 for p = 0 and inf for p < 0."""
     with np.errstate(divide="ignore"):
-        out = np.power(x, p)
-    if p < 0:
-        out[x == 0.0] = np.inf
-    return out
+        return np.power(np.asarray(x, dtype=float), p)
 
 
 @dataclass(frozen=True)
@@ -155,30 +149,6 @@ class WeightedGridFunction:
         y[1:] = self.w[1:] * self.grid.x_pow(self.zeta - 1.0)[1:]
         y[0] = np.nan if self.zeta < 1.0 else 0.0
         return y
-
-    @classmethod
-    def from_plain(cls, grid: PsiGrid, zeta: float, y: np.ndarray,
-                   w0: float | None = None) -> "WeightedGridFunction":
-        """Weight plain samples; w[0] is quadratically extrapolated
-        from w[1..3] unless supplied."""
-        y = np.asarray(y, dtype=float)
-        if zeta == 1.0:
-            w = y.copy()
-            if w0 is not None:
-                w[0] = w0
-            return cls(grid, zeta, w)
-        w = np.empty(grid.n + 1)
-        w[1:] = y[1:] * grid.x_pow(1.0 - zeta)[1:]
-        w[0] = _extrapolate_start(w) if w0 is None else w0
-        return cls(grid, zeta, w)
-
-
-def _extrapolate_start(v: np.ndarray) -> float:
-    """The t = a value of a weighted profile, quadratically extrapolated
-    from nodes 1..3 (node 0 is not read)."""
-    if len(v) < 4:
-        raise GridTooCoarse("need n >= 3 to extrapolate the value at t = a")
-    return 3.0 * v[1] - 3.0 * v[2] + v[3]
 
 
 def _abel_kernels(eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:

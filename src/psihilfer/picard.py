@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import DomainViolation, GridTooCoarse
 from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
-                       WeightedGridFunction, _extrapolate_start, build_grid,
-                       hilfer_derivative)
+                       WeightedGridFunction, build_grid, hilfer_derivative)
 from .psi_maps import PsiMap, psi_increment
 from .rhs_expr import RhsExpr, lipschitz_estimate
 from .special_fn import log_gamma, mittag_leffler2, ml2_tail_sums
@@ -113,6 +112,14 @@ def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
     if u_a + offset >= u_xi:
         return problem.xi
     return float(problem.psi.inverse(u_a + offset)) - problem.a
+
+
+def _extrapolate_start(v: np.ndarray) -> float:
+    """The t = a value of a weighted profile, quadratically extrapolated
+    from nodes 1..3 (node 0 is not read)."""
+    if len(v) < 4:
+        raise GridTooCoarse("need n >= 3 to extrapolate the value at t = a")
+    return 3.0 * v[1] - 3.0 * v[2] + v[3]
 
 
 def _weighted_composite(rhs: RhsExpr, grid: PsiGrid, zeta: float,

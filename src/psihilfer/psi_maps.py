@@ -31,7 +31,6 @@ class PsiMap:
 
     kind: str
     domain: tuple[float, float]
-    rho: float | None = None
     _eval: Callable = field(repr=False, default=None)
     _deriv: Callable = field(repr=False, default=None)
     _inverse: Callable = field(repr=False, default=None)
@@ -52,12 +51,6 @@ class PsiMap:
             raise DomainViolation(
                 f"{what}={t!r} outside map domain [{lo}, {hi}]"
             )
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "domain": [self.domain[0], self.domain[1]]}
-        if self.kind == "power":
-            cfg["rho"] = self.rho
-        return cfg
 
 
 def _check_monotone(eval_fn, deriv_fn, domain) -> None:
@@ -106,8 +99,9 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
     Parameters
     ----------
     kind:
-        ``identity``, ``power``, ``log`` or ``exp``. ``power`` takes the
-        exponent either from ``params[0]`` or a ``rho`` entry.
+        ``identity``, ``power``, ``log`` or ``exp``. ``power`` takes its
+        exponent from ``params[0]``; :func:`psi_from_config` passes the
+        config's ``rho`` entry there.
     params:
         Positional numeric parameters (only ``power`` uses one).
     domain:
@@ -129,7 +123,6 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
         fns = (lambda t: np.asarray(t, dtype=float) + 0.0,
                lambda t: np.ones_like(np.asarray(t, dtype=float)),
                lambda u: np.asarray(u, dtype=float) + 0.0)
-        rho = None
     elif kind == "power":
         rho = float(params[0]) if len(params) else None
         if rho is None or rho <= 0:
@@ -145,18 +138,16 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
         fns = (lambda t: np.log(np.asarray(t, dtype=float)),
                lambda t: 1.0 / np.asarray(t, dtype=float),
                lambda u: np.exp(np.asarray(u, dtype=float)))
-        rho = None
     elif kind == "exp":
         fns = (lambda t: np.exp(np.asarray(t, dtype=float)),
                lambda t: np.exp(np.asarray(t, dtype=float)),
                lambda u: np.log(np.asarray(u, dtype=float)))
-        rho = None
     else:
         raise DomainViolation(f"unknown map kind {kind!r}")
 
     eval_fn, deriv_fn, inverse_fn = fns
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
-    return PsiMap(kind=kind, domain=(lo, hi), rho=rho,
+    return PsiMap(kind=kind, domain=(lo, hi),
                   _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
 
 
@@ -178,7 +169,7 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
     if inverse_fn is None:
         inverse_fn = _bisect_inverse(eval_fn, (lo, hi))
-    return PsiMap(kind="custom", domain=(lo, hi), rho=None,
+    return PsiMap(kind="custom", domain=(lo, hi),
                   _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
 
 

@@ -16,9 +16,11 @@ from scipy.special import gamma as _sp_gamma
 
 from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
 
+# name -> (arity, elementwise numpy function)
 _FUNCTIONS = {
-    "sin": 1, "cos": 1, "exp": 1, "ln": 1,
-    "abs": 1, "sqrt": 1, "gamma": 1, "pow": 2,
+    "sin": (1, np.sin), "cos": (1, np.cos), "exp": (1, np.exp),
+    "ln": (1, np.log), "abs": (1, np.abs), "sqrt": (1, np.sqrt),
+    "gamma": (1, _sp_gamma), "pow": (2, np.power),
 }
 _VARIABLES = ("t", "y")
 
@@ -170,10 +172,9 @@ class _Parser:
                         break
                     else:
                         raise ExprSyntaxError("expected ',' or ')'", o2)
-                if len(args) != _FUNCTIONS[val]:
-                    raise ExprSyntaxError(
-                        f"{val} takes {_FUNCTIONS[val]} argument(s)", off
-                    )
+                arity = _FUNCTIONS[val][0]
+                if len(args) != arity:
+                    raise ExprSyntaxError(f"{val} takes {arity} argument(s)", off)
                 return Call(val, tuple(args), off)
             if val not in _VARIABLES:
                 raise UnknownIdentifier(f"unknown identifier {val!r}", off)
@@ -236,11 +237,8 @@ def _eval_array(node, t, y):
             else:
                 out = np.power(left, right)
         elif isinstance(node, Call):
-            args = [_eval_array(a, t, y) for a in node.args]
-            fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
-                  "abs": np.abs, "sqrt": np.sqrt, "gamma": _sp_gamma,
-                  "pow": np.power}[node.name]
-            out = fn(*args)
+            fn = _FUNCTIONS[node.name][1]
+            out = fn(*[_eval_array(a, t, y) for a in node.args])
         else:
             raise TypeError(f"not an AST node: {node!r}")
     if not np.all(np.isfinite(out)):
@@ -309,24 +307,27 @@ def _halton(count: int, base: int) -> np.ndarray:
     return out
 
 
-def lipschitz_estimate(expr: RhsExpr, t_range, y_range, samples: int = 256) -> float:
+# the 256-point Halton set in the unit square (bases 2 and 3), built once
+_HALTON_T = _halton(256, 2)
+_HALTON_Y = _halton(256, 3)
+
+
+def lipschitz_estimate(expr: RhsExpr, t_range, y_range) -> float:
     """Heuristic bound on |df/dy| over a box, with a 1.1 safety factor.
 
-    Scans a deterministic low-discrepancy point set plus the box corners
-    and edge midpoints (derivative maxima often sit on the boundary),
-    approximating the partial derivative by central differences.  The
-    result is reproducible bit for bit; treat it as an estimate and
-    override it when a certified constant is known.
+    Scans a fixed 256-point Halton set scaled to the box, plus the box
+    corners and edge midpoints (derivative maxima often sit on the
+    boundary), approximating the partial derivative by central
+    differences.  The result is reproducible bit for bit; treat it as an
+    estimate and override it when a certified constant is known.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 sample points")
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
     if t_hi < t_lo or y_hi < y_lo:
         raise ValueError("ranges must be nonempty")
 
-    ts = t_lo + _halton(samples, 2) * (t_hi - t_lo)
-    ys = y_lo + _halton(samples, 3) * (y_hi - y_lo)
+    ts = t_lo + _HALTON_T * (t_hi - t_lo)
+    ys = y_lo + _HALTON_Y * (y_hi - y_lo)
     edge = np.array([0.0, 0.5, 1.0])
     tg, yg = np.meshgrid(t_lo + edge * (t_hi - t_lo),
                          y_lo + edge * (y_hi - y_lo))

@@ -188,7 +188,8 @@ def test_derivative_identities():
 
     f = np.cos(2.0 * grid.nodes) + 0.5
     integ = FracIntegralOperator(grid, params.eta).apply_plain(f)
-    wgf = WeightedGridFunction.from_plain(grid, params.zeta, integ)
+    wgf = WeightedGridFunction(grid, params.zeta,
+                               integ * grid.x_pow(1 - params.zeta))
     recovered = hilfer_derivative(params, wgf)
     err = np.abs(recovered - f[1:n]) * xw
     scale = np.max(np.abs(f[1:n] * xw))

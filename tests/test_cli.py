@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from psihilfer import CauchyProblem, picard_solve
+from psihilfer import (CauchyProblem, LinearProblem, picard_solve,
+                       solve_variable)
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                            load_config, main)
 from psihilfer.errors import ValidationError
@@ -71,6 +72,12 @@ def test_load_rejects_unknown_key(tmp_path):
     assert any("typo_key" in v for v in exc_info.value.violations)
 
 
+def test_k_is_not_an_alias_of_k_box(tmp_path):
+    with pytest.raises(ValidationError) as exc_info:
+        load_config(_write_config(tmp_path / "c.json", k=2.0))
+    assert "unknown config key 'k'" in exc_info.value.violations
+
+
 def test_solve_writes_csv_and_report(tmp_path):
     out = tmp_path / "sol.csv"
     cfg = _write_config(tmp_path / "c.json", output_path=str(out),
@@ -134,7 +141,7 @@ def test_linear_constant_and_cross_validation(tmp_path):
     cfg_l = _write_config(tmp_path / "cl.json", eta=0.6, nu=0.4,
                           output_path=str(out_l), n=512, **{"lambda": -1.0})
     assert main(["solve", cfg_s]) == EXIT_OK
-    assert main(["linear", cfg_l, "--mode", "constant"]) == EXIT_OK
+    assert main(["linear", cfg_l]) == EXIT_OK
 
     def w_column(path):
         rows = path.read_text().splitlines()[1:]
@@ -145,11 +152,32 @@ def test_linear_constant_and_cross_validation(tmp_path):
 
 
 def test_linear_variable_mode(tmp_path):
+    # a config with mu runs the variable-coefficient solve
+    out = tmp_path / "var.csv"
+    cfg_path = _write_config(tmp_path / "c.json", eta=0.6, nu=0.4, mu=1.2,
+                             output_path=str(out), n=128, **{"lambda": -1.0})
+    assert main(["linear", cfg_path]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,w,y"
+    cfg = load_config(cfg_path)
+    problem = LinearProblem(psi=cfg.psi, params=cfg.params, a=cfg.a,
+                            b=cfg.a + cfg.xi, y_a=cfg.y_a, lam=cfg.lam,
+                            mu=cfg.mu)
+    w = solve_variable(problem, cfg.n).w
+    assert [line.split(",")[1] for line in lines[1:]] == [f"{v:.17g}" for v in w]
+
+
+def test_linear_with_mu_and_forcing_exits_2(tmp_path, capsys):
     out = tmp_path / "var.csv"
     cfg = _write_config(tmp_path / "c.json", eta=0.6, nu=0.4, mu=1.2,
-                        output_path=str(out), n=128, **{"lambda": -1.0})
-    assert main(["linear", cfg, "--mode", "variable"]) == EXIT_OK
-    assert out.read_text().splitlines()[0] == "t,w,y"
+                        forcing="sin(t)", output_path=str(out), n=128,
+                        **{"lambda": -1.0})
+    assert main(["linear", cfg]) == EXIT_VALIDATION
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["category"] == "validation"
+    assert "homogeneous" in payload["message"]
+    assert not out.exists()
 
 
 def test_ml_subcommand_prints_e(capsys):
@@ -249,6 +277,21 @@ def test_frint_subcommand(tmp_path):
     # I^{0.5} t^{1.5} = Gamma(2.5)/Gamma(3) t^2
     expected = math.gamma(2.5) / math.gamma(3.0)
     assert abs(v_last - expected) < 1e-3
+
+
+def test_frint_rejects_malformed_row(tmp_path, capsys):
+    # only a first line that does not parse is a header
+    src = tmp_path / "h.csv"
+    src.write_text("t,h\n0,0\n0.25,0.125\n0.5,abc\n0.75,0.375\n1,0.5\n")
+    out = tmp_path / "o.csv"
+    rc = main(["frint", "--input", str(src), "--output", str(out),
+               "--eta", "0.5", "--n", "64"])
+    assert rc == EXIT_VALIDATION
+    (line,) = capsys.readouterr().err.splitlines()
+    payload = json.loads(line)
+    assert payload["category"] == "validation"
+    assert any("line 4" in v for v in payload["violations"])
+    assert not out.exists()
 
 
 def test_frint_power_requires_rho(tmp_path, capsys):

@@ -284,7 +284,9 @@ def test_weighted_plain_roundtrip():
     zeta = 0.75
     w_true = 1.0 + 0.5 * np.sin(3.0 * grid.nodes)
     y = w_true * grid.x_pow(zeta - 1.0)
-    wgf = WeightedGridFunction.from_plain(grid, zeta, y)
+    # y is infinite at t = a; w[0] carries the limit of the weighted profile
+    w = np.append(w_true[0], y[1:] * grid.x_pow(1 - zeta)[1:])
+    wgf = WeightedGridFunction(grid, zeta, w)
     assert np.allclose(wgf.w[1:], w_true[1:], rtol=1e-12)
     back = wgf.to_plain()
     assert np.isnan(back[0])
@@ -324,7 +326,8 @@ def test_hilfer_inverts_the_integral_on_smooth_input():
     grid = build_grid(IDENT, 0.0, 1.0, n)
     f = np.cos(2.0 * grid.nodes) + 0.5
     integ = FracIntegralOperator(grid, params.eta).apply_plain(f)
-    wgf = WeightedGridFunction.from_plain(grid, params.zeta, integ)
+    wgf = WeightedGridFunction(grid, params.zeta,
+                               integ * grid.x_pow(1 - params.zeta))
     deriv = hilfer_derivative(params, wgf)
     xw = grid.x_pow(1.0 - params.zeta)[1:n]
     err = np.abs(deriv - f[1:n]) * xw

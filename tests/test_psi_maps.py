@@ -216,9 +216,13 @@ def test_increment_monotone_in_upper_limit(u1, u2, u3):
 
 
 def test_config_roundtrip():
+    # the config's rho and domain reach the built power map
     psi = psi_from_config({"kind": "power", "rho": 3.0, "domain": [0.0, 2.0]})
-    assert psi.kind == "power" and psi.rho == 3.0
-    assert psi.to_config() == {"kind": "power", "rho": 3.0, "domain": [0.0, 2.0]}
+    assert psi.kind == "power" and psi.domain == (0.0, 2.0)
+    ts = np.array([0.0, 0.5, 1.0, 2.0])
+    assert np.array_equal(psi.value(ts), ts ** 3.0)
+    assert np.array_equal(psi.deriv(ts), 3.0 * ts ** 2.0)
+    assert np.allclose(psi.inverse(ts ** 3.0), ts, rtol=1e-15, atol=0.0)
 
 
 def test_config_rejects_incomplete():
