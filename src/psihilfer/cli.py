@@ -4,7 +4,8 @@ Subcommands: solve, linear, frint, ml, bounds, parse-check.  Problem
 configuration is a single flat JSON object per file; CSV output uses LF
 line endings, '.' decimals and 17 significant digits so identical runs
 produce byte-identical files.  Exit codes: 0 success, 2 validation,
-3 numerical non-convergence, 4 I/O.
+3 numerical (non-convergence, series overflow, an undefined expression
+value), 4 I/O.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 
 from . import linear_forms, picard, rhs_expr
 from .errors import (ConfigParseError, DomainViolation, ExprDomainError,
-                     ExprSyntaxError, GridMismatch, GridTooCoarse,
-                     NonMonotone, OverflowGuard, ParamViolation,
-                     PsiHilferError, ValidationError)
+                     ExprSyntaxError, OverflowGuard, PsiHilferError,
+                     ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
 from .psi_maps import PsiMap, make_psi, psi_from_config
 from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
@@ -30,11 +30,12 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_CONFIG_KEYS = {
-    "psi", "eta", "nu", "a", "xi", "y_a", "rhs", "k_box", "n",
-    "tol", "max_iter", "L_override", "lambda", "mu", "forcing",
-    "output_path", "horizon",
-}
+# the keys a config must hold for solve and bounds, and for linear; the
+# rest of _CONFIG_KEYS are optional
+SOLVE_KEYS = ("psi", "eta", "nu", "a", "xi", "y_a", "rhs", "k_box", "n")
+LINEAR_KEYS = ("psi", "eta", "nu", "a", "xi", "y_a", "n", "lambda")
+_CONFIG_KEYS = (*SOLVE_KEYS, "tol", "max_iter", "L_override", "lambda", "mu",
+                "forcing", "output_path", "horizon")
 
 
 @dataclass
@@ -46,8 +47,8 @@ class ProblemConfig:
     a: float
     xi: float
     y_a: float
-    rhs: rhs_expr.RhsExpr
-    k_box: float
+    rhs: rhs_expr.RhsExpr | None
+    k_box: float | None
     n: int
     tol: float
     max_iter: int
@@ -63,8 +64,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def load_config(path: str) -> ProblemConfig:
-    """Load and validate a config file, collecting every violation."""
+def load_config(path: str, required=SOLVE_KEYS) -> ProblemConfig:
+    """Load and validate a config file, collecting every violation.
+
+    ``required`` names the keys the config must hold: ``SOLVE_KEYS``
+    (the default) or ``LINEAR_KEYS``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     try:
@@ -74,15 +79,13 @@ def load_config(path: str) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: expected a single JSON object")
 
-    problems: list[str] = []
-    for key in data:
-        if key not in _CONFIG_KEYS:
-            problems.append(f"unknown config key {key!r}")
+    problems = [f"unknown config key {key!r}" for key in data
+                if key not in _CONFIG_KEYS]
+    problems += [f"missing required key {key!r}" for key in required
+                 if key not in data]
 
-    def number(key, required=True, default=None):
+    def number(key, default=None):
         if key not in data:
-            if required:
-                problems.append(f"missing required key {key!r}")
             return default
         val = data[key]
         if not isinstance(val, (int, float)) or isinstance(val, bool):
@@ -90,13 +93,23 @@ def load_config(path: str) -> ProblemConfig:
             return default
         return float(val)
 
+    def expression(key):
+        if key not in data:
+            return None
+        if not isinstance(data[key], str):
+            problems.append(f"{key} must be a string expression")
+            return None
+        try:
+            return rhs_expr.parse(data[key])
+        except ExprSyntaxError as exc:
+            problems.append(f"{key}: {exc}")
+            return None
+
     psi = None
-    if "psi" not in data:
-        problems.append("missing required key 'psi'")
-    else:
+    if "psi" in data:
         try:
             psi = psi_from_config(data["psi"])
-        except (PsiHilferError, TypeError, KeyError) as exc:
+        except PsiHilferError as exc:
             problems.append(f"psi: {exc}")
 
     eta = number("eta")
@@ -122,66 +135,44 @@ def load_config(path: str) -> ProblemConfig:
 
     y_a = number("y_a")
 
-    rhs = None
-    if "rhs" not in data:
-        problems.append("missing required key 'rhs'")
-    elif not isinstance(data["rhs"], str):
-        problems.append("rhs must be a string expression")
-    else:
-        try:
-            rhs = rhs_expr.parse(data["rhs"])
-        except ExprSyntaxError as exc:
-            problems.append(f"rhs: {exc}")
+    rhs = expression("rhs")
 
     k_box = number("k_box")
     if k_box is not None and k_box <= 0:
         problems.append("k_box must be positive")
 
     n_val = data.get("n")
-    if n_val is None:
-        problems.append("missing required key 'n'")
-        n_val = 0
-    elif not isinstance(n_val, int) or isinstance(n_val, bool) or n_val < 16:
+    if "n" in data and (not isinstance(n_val, int) or isinstance(n_val, bool)
+                        or n_val < 16):
         problems.append("n must be an integer >= 16")
-        n_val = max(int(n_val) if isinstance(n_val, int) else 0, 0)
 
-    tol = number("tol", required=False, default=1e-10)
+    tol = number("tol", default=1e-10)
     if tol is not None and tol <= 0:
         problems.append("tol must be positive")
     max_iter = data.get("max_iter", 200)
     if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
         problems.append("max_iter must be a positive integer")
-        max_iter = 1
 
-    l_override = number("L_override", required=False)
+    l_override = number("L_override")
     if l_override is not None and l_override <= 0:
         problems.append("L_override must be positive")
 
-    lam = number("lambda", required=False)
-    mu = number("mu", required=False)
+    lam = number("lambda")
+    mu = number("mu")
     if mu is not None and eta is not None and not mu > 1.0 - eta:
         problems.append(f"mu must exceed 1-eta = {1.0 - eta}")
 
-    forcing = None
-    if "forcing" in data:
-        if not isinstance(data["forcing"], str):
-            problems.append("forcing must be a string expression")
-        else:
-            try:
-                forcing = rhs_expr.parse(data["forcing"])
-                if forcing.uses_y():
-                    problems.append("forcing must depend on t only")
-            except ExprSyntaxError as exc:
-                problems.append(f"forcing: {exc}")
+    forcing = expression("forcing")
+    if forcing is not None and forcing.uses_y():
+        problems.append("forcing must depend on t only")
 
-    horizon = number("horizon", required=False)
+    horizon = number("horizon")
     if horizon is not None and xi is not None and not 0 < horizon <= xi:
         problems.append("horizon must lie in (0, xi]")
 
     output_path = data.get("output_path", "solution.csv")
     if not isinstance(output_path, str):
         problems.append("output_path must be a string")
-        output_path = "solution.csv"
 
     if problems:
         raise ValidationError(problems)
@@ -240,9 +231,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_linear(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.lam is None:
-        raise ValidationError(["linear mode requires a 'lambda' entry"])
+    cfg = load_config(args.config, LINEAR_KEYS)
     problem = linear_forms.LinearProblem(
         psi=cfg.psi, params=cfg.params, a=cfg.a, b=cfg.a + cfg.xi,
         y_a=cfg.y_a, lam=cfg.lam, mu=cfg.mu, forcing=cfg.forcing)
@@ -268,12 +257,14 @@ def _cmd_frint(args) -> int:
                     ) from None
     if len(rows) < 2:
         raise ValidationError(["input CSV needs at least two numeric rows"])
-    if args.psi == "power" and args.rho is None:
-        raise ValidationError(["--psi power needs --rho"])
     data = np.array(rows)
     order = np.argsort(data[:, 0])
     ts, hs = data[order, 0], data[order, 1]
-    psi = make_psi(args.psi, (args.rho,) if args.psi == "power" else (),
+    # np.interp needs strictly increasing sample points
+    repeated = ts[1:][ts[1:] == ts[:-1]]
+    if repeated.size:
+        raise ValidationError([f"input repeats t = {_fmt(repeated[0])}"])
+    psi = make_psi(args.psi, () if args.rho is None else (args.rho,),
                    (ts[0], ts[-1]))
     grid = build_grid(psi, float(ts[0]), float(ts[-1]), args.n)
     resampled = np.interp(grid.nodes, ts, hs)
@@ -339,23 +330,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_parse_check(args) -> int:
     expr = rhs_expr.parse(args.expr)
-
-    def dump(node, indent=0):
-        pad = "  " * indent
-        if isinstance(node, rhs_expr.Num):
-            return [f"{pad}num {node.value!r}"]
-        if isinstance(node, rhs_expr.Var):
-            return [f"{pad}var {node.name}"]
-        if isinstance(node, rhs_expr.Neg):
-            return [f"{pad}neg"] + dump(node.child, indent + 1)
-        if isinstance(node, rhs_expr.Bin):
-            return ([f"{pad}op {node.op}"] + dump(node.left, indent + 1)
-                    + dump(node.right, indent + 1))
-        return ([f"{pad}call {node.name}"]
-                + [line for a in node.args for line in dump(a, indent + 1)])
-
     print(expr.to_string())
-    print("\n".join(dump(expr.root)))
+    print("\n".join(expr.tree_lines()))
     return EXIT_OK
 
 
@@ -433,13 +409,12 @@ def main(argv=None) -> int:
         _fail("validation", "configuration is invalid",
               {"violations": exc.violations})
         return EXIT_VALIDATION
-    except (ConfigParseError, ExprSyntaxError, DomainViolation, NonMonotone,
-            ParamViolation, GridMismatch, GridTooCoarse) as exc:
-        _fail("validation", str(exc))
-        return EXIT_VALIDATION
     except (OverflowGuard, ExprDomainError) as exc:
         _fail("numerical", str(exc))
         return EXIT_NUMERICAL
+    except PsiHilferError as exc:
+        _fail("validation", str(exc))
+        return EXIT_VALIDATION
     except OSError as exc:
         _fail("io", str(exc))
         return EXIT_IO

@@ -98,8 +98,8 @@ def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
     with norm_f the weighted sup of the right-hand side.  A zero bound
     leaves the box unconstrained, so chi = xi.
     """
-    if norm_f < 0:
-        raise DomainViolation("norm_f must be nonnegative")
+    if not 0 <= norm_f < math.inf:
+        raise DomainViolation(f"norm_f must be finite and >= 0, got {norm_f!r}")
     if norm_f == 0.0:
         return problem.xi
     p = problem.params

@@ -18,6 +18,8 @@ from .errors import DomainViolation, NonMonotone
 
 _MONOTONE_SAMPLES = 64
 _BISECT_ATOL = 1e-13
+# kind -> number of parameters make_psi takes
+_KIND_ARITY = {"identity": 0, "power": 1, "log": 0, "exp": 0}
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,11 @@ def _check_monotone(eval_fn, deriv_fn, domain) -> None:
     # legitimately vanish at an endpoint (t^rho at t=0 with rho>1).
     lo, hi = domain
     ts = lo + (np.arange(_MONOTONE_SAMPLES) + 0.5) / _MONOTONE_SAMPLES * (hi - lo)
-    dvals = np.asarray(deriv_fn(ts), dtype=float)
+    with np.errstate(all="ignore"):  # an overflow is rejected just below
+        dvals = np.asarray(deriv_fn(ts), dtype=float)
     if not np.all(np.isfinite(dvals)) or np.any(dvals <= 0.0):
         raise NonMonotone(
-            f"derivative must be positive on ({lo}, {hi}); "
+            f"derivative must be positive and finite on ({lo}, {hi}); "
             f"min sampled value {np.min(dvals)!r}"
         )
     vals = np.asarray(eval_fn(ts), dtype=float)
@@ -99,33 +102,39 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
     Parameters
     ----------
     kind:
-        ``identity``, ``power``, ``log`` or ``exp``. ``power`` takes its
-        exponent from ``params[0]``; :func:`psi_from_config` passes the
-        config's ``rho`` entry there.
+        ``identity``, ``power``, ``log`` or ``exp``.
     params:
-        Positional numeric parameters (only ``power`` uses one).
+        ``power`` takes exactly one, its exponent (:func:`psi_from_config`
+        passes the config's ``rho`` there); every other kind takes none.
     domain:
-        Closed interval ``[a, b]`` on which the map is used.
+        Closed interval ``[a, b]`` with finite ends on which the map is used.
 
     Raises
     ------
     DomainViolation
-        Empty domain, ``log`` with a nonpositive left endpoint, or a
-        nonpositive power exponent.
+        Unknown kind, wrong number of parameters, an empty or non-finite
+        domain, ``log`` with a nonpositive left endpoint, or a power
+        exponent that is not positive.
     NonMonotone
         Derivative fails the positivity spot check.
     """
     lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainViolation(f"domain [{lo}, {hi}] is empty")
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainViolation(f"domain [{lo}, {hi}] is empty or not finite")
+    arity = _KIND_ARITY.get(kind)
+    if arity is None:
+        raise DomainViolation(f"unknown map kind {kind!r}")
+    if len(params) != arity:
+        raise DomainViolation(
+            f"{kind} map takes {arity} parameter(s), got {len(params)}")
 
     if kind == "identity":
         fns = (lambda t: np.asarray(t, dtype=float) + 0.0,
                lambda t: np.ones_like(np.asarray(t, dtype=float)),
                lambda u: np.asarray(u, dtype=float) + 0.0)
     elif kind == "power":
-        rho = float(params[0]) if len(params) else None
-        if rho is None or rho <= 0:
+        rho = float(params[0])
+        if not rho > 0:
             raise DomainViolation("power map needs a positive exponent")
         if lo < 0:
             raise DomainViolation("power map requires a nonnegative domain")
@@ -138,12 +147,10 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
         fns = (lambda t: np.log(np.asarray(t, dtype=float)),
                lambda t: 1.0 / np.asarray(t, dtype=float),
                lambda u: np.exp(np.asarray(u, dtype=float)))
-    elif kind == "exp":
+    else:
         fns = (lambda t: np.exp(np.asarray(t, dtype=float)),
                lambda t: np.exp(np.asarray(t, dtype=float)),
                lambda u: np.log(np.asarray(u, dtype=float)))
-    else:
-        raise DomainViolation(f"unknown map kind {kind!r}")
 
     eval_fn, deriv_fn, inverse_fn = fns
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
@@ -164,8 +171,8 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     finite or lie outside ``[eval_fn(lo), eval_fn(hi)]``.
     """
     lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainViolation(f"domain [{lo}, {hi}] is empty")
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainViolation(f"domain [{lo}, {hi}] is empty or not finite")
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
     if inverse_fn is None:
         inverse_fn = _bisect_inverse(eval_fn, (lo, hi))
@@ -173,13 +180,22 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
                   _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
 
 
-def psi_from_config(cfg: dict) -> PsiMap:
-    """Build a map from its JSON encoding {kind, rho?, domain}."""
-    kind = cfg.get("kind")
-    domain = cfg.get("domain")
-    if kind is None or domain is None or len(domain) != 2:
-        raise DomainViolation("map config needs 'kind' and a 2-element 'domain'")
-    params = (cfg["rho"],) if kind == "power" and "rho" in cfg else ()
+def psi_from_config(cfg) -> PsiMap:
+    """Build a map from its JSON object ``{"kind", "domain", "rho"?}``:
+    a string kind, two numbers and, if present, a numeric ``rho`` that
+    :func:`make_psi` takes as its one parameter (so only ``power`` accepts
+    it, and ``power`` needs it).  Any other encoding raises
+    :class:`DomainViolation`, as do the rules of :func:`make_psi`."""
+    if not isinstance(cfg, dict):
+        raise DomainViolation("map config must be a JSON object")
+    kind, domain = cfg.get("kind"), cfg.get("domain", ())
+    params = (cfg["rho"],) if "rho" in cfg else ()
+    if not (isinstance(kind, str) and isinstance(domain, (list, tuple))
+            and len(domain) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in (*domain, *params))):
+        raise DomainViolation("map config needs a string 'kind', a 'domain' "
+                              "of two numbers and a numeric 'rho' if any")
     return make_psi(kind, params, (domain[0], domain[1]))
 
 

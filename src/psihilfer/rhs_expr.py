@@ -22,6 +22,11 @@ _FUNCTIONS = {
     "ln": (1, np.log), "abs": (1, np.abs), "sqrt": (1, np.sqrt),
     "gamma": (1, _sp_gamma), "pow": (2, np.power),
 }
+# binary operator (or "neg", unary minus) -> elementwise numpy function
+_OPERATORS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": np.power, "neg": np.negative,
+}
 _VARIABLES = ("t", "y")
 
 _TOKEN_RE = re.compile(
@@ -202,16 +207,29 @@ def _to_string(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# node type -> its line in RhsExpr.tree_lines and its name in evaluation
+# errors, each formatted with the node
+_TREE_LABELS = {Num: "num {0.value!r}", Var: "var {0.name}", Neg: "neg",
+                Bin: "op {0.op}", Call: "call {0.name}"}
+_ERROR_LABELS = {Neg: "unary minus", Bin: "operator {0.op!r}",
+                 Call: "function {0.name!r}"}
+
+
+def _children(node) -> tuple:
+    """The operand nodes of ``node``, left to right (none for a leaf)."""
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.child,)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
 def _uses_y(node) -> bool:
     if isinstance(node, Var):
         return node.name == "y"
-    if isinstance(node, Neg):
-        return _uses_y(node.child)
-    if isinstance(node, Bin):
-        return _uses_y(node.left) or _uses_y(node.right)
-    if isinstance(node, Call):
-        return any(_uses_y(a) for a in node.args)
-    return False
+    return any(_uses_y(child) for child in _children(node))
 
 
 def _eval_array(node, t, y):
@@ -220,42 +238,23 @@ def _eval_array(node, t, y):
         return np.full(np.shape(t), node.value)
     if isinstance(node, Var):
         return np.asarray(t if node.name == "t" else y, dtype=float)
+    fn = (_FUNCTIONS[node.name][1] if isinstance(node, Call)
+          else _OPERATORS[node.op if isinstance(node, Bin) else "neg"])
+    args = [_eval_array(child, t, y) for child in _children(node)]
     with np.errstate(all="ignore"):
-        if isinstance(node, Neg):
-            out = -_eval_array(node.child, t, y)
-        elif isinstance(node, Bin):
-            left = _eval_array(node.left, t, y)
-            right = _eval_array(node.right, t, y)
-            if node.op == "+":
-                out = left + right
-            elif node.op == "-":
-                out = left - right
-            elif node.op == "*":
-                out = left * right
-            elif node.op == "/":
-                out = left / right
-            else:
-                out = np.power(left, right)
-        elif isinstance(node, Call):
-            fn = _FUNCTIONS[node.name][1]
-            out = fn(*[_eval_array(a, t, y) for a in node.args])
-        else:
-            raise TypeError(f"not an AST node: {node!r}")
+        out = fn(*args)
     if not np.all(np.isfinite(out)):
         raise ExprDomainError(
-            f"undefined value in {_op_label(node)}", node.offset
+            f"undefined value in {_ERROR_LABELS[type(node)].format(node)}",
+            node.offset
         )
     return out
 
 
-def _op_label(node) -> str:
-    if isinstance(node, Bin):
-        return f"operator {node.op!r}"
-    if isinstance(node, Call):
-        return f"function {node.name!r}"
-    if isinstance(node, Neg):
-        return "unary minus"
-    return "expression"
+def _tree_lines(node, depth: int):
+    yield "  " * depth + _TREE_LABELS[type(node)].format(node)
+    for child in _children(node):
+        yield from _tree_lines(child, depth + 1)
 
 
 @dataclass(frozen=True)
@@ -280,6 +279,10 @@ class RhsExpr:
 
     def uses_y(self) -> bool:
         return _uses_y(self.root)
+
+    def tree_lines(self) -> list[str]:
+        """One line per node in prefix order, two spaces deeper per level."""
+        return list(_tree_lines(self.root, 0))
 
 
 def parse(text: str) -> RhsExpr:

@@ -43,7 +43,7 @@ class MLSeriesParams:
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ParamViolation("rel_tol must be positive")
         if self.max_terms <= 0:
             raise ParamViolation("max_terms must be positive")
@@ -193,6 +193,8 @@ def mittag_leffler2(eta: float, nu: float, z: float,
         raise DomainViolation(f"eta must be positive, got {eta!r}")
     if not nu > 0:
         raise DomainViolation(f"nu must be positive, got {nu!r}")
+    if not math.isfinite(z):
+        raise DomainViolation(f"z must be finite, got {z!r}")
     if z == 0.0:
         return SeriesResult(math.exp(-math.lgamma(nu)), 1, 0.0, True)
     return _series_result(_ml_terms(eta, nu, _LD(z), policy.max_terms), policy)
@@ -210,6 +212,8 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
         raise DomainViolation(f"eta must be positive, got {eta!r}")
     if not m > 0:
         raise DomainViolation(f"m must be positive, got {m!r}")
+    if not math.isfinite(z):
+        raise DomainViolation(f"z must be finite, got {z!r}")
     if z == 0.0:
         return SeriesResult(1.0, 1, 0.0, True)
     return _series_result(_ks_terms(eta, m, l, _LD(z), policy.max_terms), policy)

@@ -180,6 +180,99 @@ def test_linear_with_mu_and_forcing_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_linear_needs_only_the_keys_it_reads(tmp_path):
+    # rhs and k_box are read by solve and bounds only
+    lean = {k: v for k, v in BASE_CONFIG.items() if k not in ("rhs", "k_box")}
+    out_lean, out_full = tmp_path / "lean.csv", tmp_path / "full.csv"
+    cfg_lean = tmp_path / "lean.json"
+    cfg_lean.write_text(json.dumps(dict(lean, output_path=str(out_lean),
+                                        **{"lambda": -1.0})))
+    cfg_full = _write_config(tmp_path / "full.json", output_path=str(out_full),
+                             **{"lambda": -1.0})
+    assert main(["linear", str(cfg_lean)]) == EXIT_OK
+    assert main(["linear", cfg_full]) == EXIT_OK
+    assert out_lean.read_bytes() == out_full.read_bytes()
+
+
+def test_linear_reports_missing_lambda_with_other_violations(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", eta=1.5)
+    assert main(["linear", cfg]) == EXIT_VALIDATION
+    (line,) = capsys.readouterr().err.splitlines()
+    violations = json.loads(line)["violations"]
+    assert "missing required key 'lambda'" in violations
+    assert "eta must lie in (0,1]" in violations
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_solve_and_bounds_require_rhs_and_k_box(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items()
+                                if k not in ("rhs", "k_box")}))
+    assert main([command, str(path)]) == EXIT_VALIDATION
+    violations = json.loads(capsys.readouterr().err)["violations"]
+    assert violations == ["missing required key 'rhs'",
+                          "missing required key 'k_box'"]
+
+
+def _psi_config(tmp_path, psi_text):
+    # raw JSON text, so non-JSON-native values such as 1e400 stay literal
+    body = json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "psi"})
+    path = tmp_path / "c.json"
+    path.write_text('{"psi": ' + psi_text + ", " + body[1:])
+    return str(path)
+
+
+def _frint_input(tmp_path, rows):
+    path = tmp_path / "h.csv"
+    path.write_text("t,h\n" + "".join(f"{t},{h}\n" for t, h in rows))
+    return ["frint", "--input", str(path), "--output",
+            str(tmp_path / "o.csv"), "--eta", "0.5", "--n", "64"]
+
+
+# case -> (argv built in a temporary directory, text the error must name)
+MALFORMED = {
+    "psi-string": (lambda d: ["solve", _psi_config(d, '"identity"')],
+                   "JSON object"),
+    "rho-string": (lambda d: ["solve", _psi_config(
+        d, '{"kind": "power", "rho": "x", "domain": [0, 2]}')], "'rho'"),
+    "domain-string": (lambda d: ["solve", _psi_config(
+        d, '{"kind": "identity", "domain": [0, "a"]}')], "'domain'"),
+    "domain-overflow": (lambda d: ["solve", _psi_config(
+        d, '{"kind": "identity", "domain": [0, 1e400]}')], "not finite"),
+    "domain-overflows-exp": (lambda d: ["solve", _psi_config(
+        d, '{"kind": "exp", "domain": [0, 1000]}')], "positive and finite"),
+    "rho-on-identity": (lambda d: ["solve", _psi_config(
+        d, '{"kind": "identity", "rho": 2.0, "domain": [0, 2]}')],
+        "identity map takes 0 parameter"),
+    "frint-rho-on-identity": (lambda d: [
+        *_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]), "--rho", "3"],
+        "identity map takes 0 parameter"),
+    "frint-repeated-t": (lambda d: _frint_input(
+        d, [(0, 0), (0.5, 0.25), (0.5, 0.75), (1, 1)]),
+        "input repeats t = 0.5"),
+    "ml-z-nan": (lambda d: ["ml", "--eta", "1", "--nu", "1", "--z", "nan"],
+                 "z must be finite"),
+    "bounds-norm-f-nan": (lambda d: [
+        "bounds", _write_config(d / "c.json"), "--norm-f", "nan"], "norm_f"),
+    "bounds-norm-f-inf": (lambda d: [
+        "bounds", _write_config(d / "c.json"), "--norm-f", "inf"], "norm_f"),
+    "ml-rel-tol-nan": (lambda d: ["ml", "--eta", "1", "--nu", "1", "--z", "1",
+                                  "--rel-tol", "nan"], "rel_tol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_json_line(tmp_path, capsys, case):
+    argv, names = MALFORMED[case]
+    assert main(argv(tmp_path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.err == line + "\n"
+    assert json.loads(line)["category"] == "validation"
+    assert names in line
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_ml_subcommand_prints_e(capsys):
     assert main(["ml", "--family", "two-param", "--eta", "1", "--nu", "1",
                  "--z", "1"]) == EXIT_OK
@@ -226,9 +319,17 @@ def test_bounds_matches_solve_constants(tmp_path, capsys, rhs, eta, nu, n):
 
 def test_parse_check_pretty_prints(capsys):
     assert main(["parse-check", "sin(t)*y + t^2"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "((sin(t) * y) + (t ^ 2.0))" in out
-    assert "call sin" in out and "op +" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "((sin(t) * y) + (t ^ 2.0))",
+        "op +",
+        "  op *",
+        "    call sin",
+        "      var t",
+        "    var y",
+        "  op ^",
+        "    var t",
+        "    num 2.0",
+    ]
 
 
 def test_parse_check_syntax_error_exit_code(capsys):

@@ -52,6 +52,30 @@ def test_empty_domain_rejected():
         make_psi("identity", (), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("domain", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (0.0, math.nan), (math.nan, 1.0)])
+def test_non_finite_domain_rejected(domain):
+    with pytest.raises(DomainViolation):
+        make_psi("identity", (), domain)
+    with pytest.raises(DomainViolation):
+        make_custom_psi(lambda t: t, lambda t: np.ones_like(t), domain)
+
+
+@pytest.mark.parametrize("kind,params", [("identity", (2.0,)), ("log", (1.0,)),
+                                         ("exp", (1.0,)), ("power", (2.0, 3.0)),
+                                         ("sinh", ())])
+def test_only_power_takes_a_parameter(kind, params):
+    with pytest.raises(DomainViolation):
+        make_psi(kind, params, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("kind,params,domain", [("exp", (), (0.0, 1000.0)),
+                                               ("power", (2000.0,), (0.0, 2.0))])
+def test_overflowing_map_rejected_without_warning(kind, params, domain):
+    with pytest.raises(NonMonotone):
+        make_psi(kind, params, domain)
+
+
 def test_custom_decreasing_rejected():
     with pytest.raises(NonMonotone):
         make_custom_psi(lambda t: -np.asarray(t), lambda t: -np.ones_like(np.asarray(t)),
@@ -228,3 +252,17 @@ def test_config_roundtrip():
 def test_config_rejects_incomplete():
     with pytest.raises(DomainViolation):
         psi_from_config({"kind": "identity"})
+
+
+@pytest.mark.parametrize("cfg", [
+    "identity", ["identity"], {"kind": 1, "domain": [0, 1]},
+    {"kind": "identity", "domain": 1}, {"kind": "identity", "domain": [0]},
+    {"kind": "identity", "domain": [0, "a"]},
+    {"kind": "identity", "domain": [False, True]},
+    {"kind": "power", "rho": "2", "domain": [0, 1]},
+    {"kind": "identity", "rho": 2.0, "domain": [0, 1]},
+    {"kind": "power", "domain": [0, 1]},
+])
+def test_config_rejects_malformed_object(cfg):
+    with pytest.raises(DomainViolation):
+        psi_from_config(cfg)

@@ -89,6 +89,19 @@ def test_eval_many_reports_domain_errors():
         expr.eval_many(np.zeros(3), np.array([1.0, 0.5, -1.0]))
 
 
+def test_tree_lines_cover_every_node_kind():
+    assert parse("-pow(t, 2) / y").tree_lines() == [
+        "op /", "  neg", "    call pow", "      var t", "      num 2.0",
+        "  var y"]
+
+
+@pytest.mark.parametrize("text,uses_y", [
+    ("t^2 - sin(t)", False), ("-y", True), ("pow(t, y)", True),
+    ("exp(-(t + 1))", False), ("1 + t*cos(y)", True)])
+def test_uses_y_walks_every_operand(text, uses_y):
+    assert parse(text).uses_y() is uses_y
+
+
 def test_print_reparse_roundtrip_simple():
     for text in ("-1*y", "y*(1-y)", "sin(t)*y + t^2", "2^3^2",
                  "pow(t, 2) - gamma(y)", "-(t + -y)"):

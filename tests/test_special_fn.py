@@ -76,6 +76,19 @@ def test_ml_rejects_bad_orders():
         mittag_leffler2(1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_rejected(z):
+    with pytest.raises(DomainViolation):
+        mittag_leffler2(0.5, 1.0, z)
+    with pytest.raises(DomainViolation):
+        kilbas_saigo(0.5, 1.0, 0.0, z)
+
+
+def test_series_params_reject_nan_tolerance():
+    with pytest.raises(ParamViolation):
+        MLSeriesParams(rel_tol=math.nan)
+
+
 def test_ml_overflow_guard():
     with pytest.raises(OverflowGuard):
         mittag_leffler2(0.2, 1.0, 1e9)
