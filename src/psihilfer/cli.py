@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linear_forms, picard, rhs_expr
-from .errors import (ConfigParseError, DomainViolation, ExprDomainError,
-                     ExprSyntaxError, OverflowGuard, PsiHilferError,
-                     ValidationError)
+from .errors import (ConfigParseError, ExprDomainError, ExprSyntaxError,
+                     OverflowGuard, PsiHilferError, ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
 from .psi_maps import PsiMap, make_psi, psi_from_config
 from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
@@ -68,7 +67,10 @@ def load_config(path: str, required=SOLVE_KEYS) -> ProblemConfig:
     """Load and validate a config file, collecting every violation.
 
     ``required`` names the keys the config must hold: ``SOLVE_KEYS``
-    (the default) or ``LINEAR_KEYS``.
+    (the default) or ``LINEAR_KEYS``.  The loader checks the format
+    (keys, JSON types, integers, finite numbers); each range rule is
+    reported by the library object that enforces it, and ``n`` by the
+    solver of the subcommand the keys belong to.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
@@ -84,14 +86,18 @@ def load_config(path: str, required=SOLVE_KEYS) -> ProblemConfig:
     problems += [f"missing required key {key!r}" for key in required
                  if key not in data]
 
-    def number(key, default=None):
+    def number(key, default=None, integer=False):
         if key not in data:
             return default
         val = data[key]
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            problems.append(f"{key} must be a number")
-            return default
-        return float(val)
+        if isinstance(val, bool) or not isinstance(
+                val, int if integer else (int, float)):
+            problems.append(f"{key} must be {'an integer' if integer else 'a number'}")
+        elif not abs(val) <= sys.float_info.max:  # NaN, Infinity, 1e400
+            problems.append(f"{key} must be finite")
+        else:
+            return val if integer else float(val)
+        return None
 
     def expression(key):
         if key not in data:
@@ -111,73 +117,28 @@ def load_config(path: str, required=SOLVE_KEYS) -> ProblemConfig:
             psi = psi_from_config(data["psi"])
         except PsiHilferError as exc:
             problems.append(f"psi: {exc}")
-
-    eta = number("eta")
-    nu = number("nu")
-    eta_ok = eta is not None and 0.0 < eta <= 1.0
-    nu_ok = nu is not None and 0.0 <= nu <= 1.0
-    if eta is not None and not eta_ok:
-        problems.append("eta must lie in (0,1]")
-    if nu is not None and not nu_ok:
-        problems.append("nu must lie in [0,1]")
-    params = OrderParams(eta, nu) if eta_ok and nu_ok else None
-
-    a = number("a")
-    xi = number("xi")
-    if xi is not None and xi <= 0:
-        problems.append("xi must be positive")
-    if psi is not None and a is not None and xi is not None and xi > 0:
-        try:
-            psi.check_in_domain(a, "a")
-            psi.check_in_domain(a + xi, "a+xi")
-        except DomainViolation as exc:
-            problems.append(str(exc))
-
-    y_a = number("y_a")
-
-    rhs = expression("rhs")
-
-    k_box = number("k_box")
-    if k_box is not None and k_box <= 0:
-        problems.append("k_box must be positive")
-
-    n_val = data.get("n")
-    if "n" in data and (not isinstance(n_val, int) or isinstance(n_val, bool)
-                        or n_val < 16):
-        problems.append("n must be an integer >= 16")
-
-    tol = number("tol", default=1e-10)
-    if tol is not None and tol <= 0:
-        problems.append("tol must be positive")
-    max_iter = data.get("max_iter", 200)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        problems.append("max_iter must be a positive integer")
-
-    l_override = number("L_override")
-    if l_override is not None and l_override <= 0:
-        problems.append("L_override must be positive")
-
-    lam = number("lambda")
-    mu = number("mu")
-    if mu is not None and eta is not None and not mu > 1.0 - eta:
-        problems.append(f"mu must exceed 1-eta = {1.0 - eta}")
-
-    forcing = expression("forcing")
-    if forcing is not None and forcing.uses_y():
-        problems.append("forcing must depend on t only")
-
-    horizon = number("horizon")
-    if horizon is not None and xi is not None and not 0 < horizon <= xi:
-        problems.append("horizon must lie in (0, xi]")
-
+    eta, nu, a, xi, y_a, k_box, lam, mu, l_override, horizon = (
+        number(key) for key in ("eta", "nu", "a", "xi", "y_a", "k_box",
+                                "lambda", "mu", "L_override", "horizon"))
+    tol = number("tol", 1e-10)
+    n, max_iter = number("n", integer=True), number("max_iter", 200, integer=True)
+    rhs, forcing = expression("rhs"), expression("forcing")
     output_path = data.get("output_path", "solution.csv")
     if not isinstance(output_path, str):
         problems.append("output_path must be a string")
 
+    problems += OrderParams.violations(eta, nu)
+    problems += picard.CauchyProblem.violations(psi, a, xi, k_box)
+    problems += linear_forms.LinearProblem.violations(eta, mu, forcing)
+    problems += (linear_forms.solve_violations(n) if required == LINEAR_KEYS
+                 else picard.solve_violations(n=n))
+    problems += picard.solve_violations(tol=tol, max_iter=max_iter,
+                                        L_override=l_override,
+                                        horizon=horizon, xi=xi)
     if problems:
         raise ValidationError(problems)
-    return ProblemConfig(psi=psi, params=params, a=a, xi=xi, y_a=y_a,
-                         rhs=rhs, k_box=k_box, n=n_val, tol=tol,
+    return ProblemConfig(psi=psi, params=OrderParams(eta, nu), a=a, xi=xi,
+                         y_a=y_a, rhs=rhs, k_box=k_box, n=n, tol=tol,
                          max_iter=max_iter, L_override=l_override, lam=lam,
                          mu=mu, forcing=forcing, output_path=output_path,
                          horizon=horizon)
@@ -342,8 +303,15 @@ def _fail(category: str, message: str, extra: dict | None = None) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Sends a malformed command line down the JSON failure path."""
+
+    def error(self, message):
+        raise PsiHilferError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="psihilfer",
         description="Fractional Cauchy problems: iterative solver, "
                     "closed forms and bound calculators.")
@@ -401,9 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         _fail("validation", "configuration is invalid",

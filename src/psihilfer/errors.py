@@ -75,3 +75,16 @@ class ValidationError(PsiHilferError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
+
+
+def broken(*rules) -> list[str]:
+    """``"<message>, got <value>"`` for each ``(value, holds, message)``
+    rule whose value is given (not None) and fails ``holds``."""
+    return [f"{message}, got {v!r}" for v, holds, message in rules
+            if v is not None and not holds(v)]
+
+
+def raise_on(problems: list[str], error: type[PsiHilferError]) -> None:
+    """Raise ``error`` naming every message in ``problems``, if any."""
+    if problems:
+        raise error("; ".join(problems))

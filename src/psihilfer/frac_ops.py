@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, GridMismatch, GridTooCoarse
+from .errors import (DomainViolation, GridMismatch, GridTooCoarse, broken,
+                     raise_on)
 from .psi_maps import PsiMap, psi_increment
-from .special_fn import mittag_leffler2, log_gamma
+from .special_fn import _check_params, log_gamma, mittag_leffler2
 
 _ZETA_MATCH_TOL = 1e-12
 
@@ -53,14 +54,17 @@ class OrderParams:
     zeta: float = field(init=False)
 
     def __post_init__(self):
-        # eta = 1 is admitted as the classical boundary case: both partial
-        # orders of the composite derivative collapse to zero and the
-        # representation formulas reduce to their ordinary-ODE limits
-        if not 0.0 < self.eta <= 1.0:
-            raise DomainViolation(f"eta must lie in (0,1], got {self.eta!r}")
-        if not 0.0 <= self.nu <= 1.0:
-            raise DomainViolation(f"nu must lie in [0,1], got {self.nu!r}")
+        raise_on(self.violations(self.eta, self.nu), DomainViolation)
         object.__setattr__(self, "zeta", self.eta + self.nu * (1.0 - self.eta))
+
+    @staticmethod
+    def violations(eta, nu) -> list[str]:
+        """The message of each rule eta and nu break (None is unchecked).
+        eta = 1 is the classical boundary case: both partial orders of the
+        composite derivative vanish and the representation formulas reduce
+        to their ordinary-ODE limits."""
+        return broken((eta, lambda v: 0.0 < v <= 1.0, "eta must lie in (0,1]"),
+                      (nu, lambda v: 0.0 <= v <= 1.0, "nu must lie in [0,1]"))
 
 
 def _xpow(x: np.ndarray, p: float) -> np.ndarray:
@@ -93,8 +97,7 @@ def build_grid(psi: PsiMap, a: float, b: float, n: int) -> PsiGrid:
     """Construct a transform-uniform grid with n panels on [a, b]."""
     if n < 1:
         raise GridTooCoarse("need at least one panel")
-    psi.check_in_domain(a, "a")
-    psi.check_in_domain(b, "b")
+    raise_on(psi.domain_violations((a, "a"), (b, "b")), DomainViolation)
     if not a < b:
         raise DomainViolation(f"need a < b, got a={a!r}, b={b!r}")
     u0 = float(psi.value(a))
@@ -134,8 +137,7 @@ class WeightedGridFunction:
             raise DomainViolation("weighted samples must be finite")
         # solution spaces use zeta in (0,1]; generic power weights up to
         # any positive exponent are accepted for quadrature tests
-        if not self.zeta > 0.0:
-            raise DomainViolation(f"zeta must be positive, got {self.zeta!r}")
+        _check_params(zeta=self.zeta)
 
     def weighted_norm(self) -> float:
         return float(np.max(np.abs(self.w)))
@@ -205,10 +207,7 @@ class FracIntegralOperator:
     """
 
     def __init__(self, grid: PsiGrid, eta: float, zeta: float = 1.0):
-        if not eta > 0:
-            raise DomainViolation(f"eta must be positive, got {eta!r}")
-        if not zeta > 0.0:
-            raise DomainViolation(f"zeta must be positive, got {zeta!r}")
+        _check_params(eta=eta, zeta=zeta)
         self.grid = grid
         self.eta = eta = float(eta)
         self.zeta = z = float(zeta)
@@ -275,10 +274,7 @@ def monomial_oracle(psi: PsiMap, eta: float, delta: float, a: float, t) -> float
     Equals Gamma(delta)/Gamma(eta+delta) * (Psi(t)-Psi(a))^(eta+delta-1)
     and serves as the primary quadrature oracle.
     """
-    if not eta > 0:
-        raise DomainViolation(f"eta must be positive, got {eta!r}")
-    if not delta > 0:
-        raise DomainViolation(f"delta must be positive, got {delta!r}")
+    _check_params(eta=eta, delta=delta)
     coeff = math.exp(log_gamma(delta) - log_gamma(eta + delta))
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0

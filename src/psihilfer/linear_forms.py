@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, GridTooCoarse, ParamViolation
+from .errors import (DomainViolation, GridTooCoarse, ParamViolation, broken,
+                     raise_on)
 from .frac_ops import (OrderParams, WeightedGridFunction, _abel_kernels,
                        _abel_product_rule, build_grid)
 from .psi_maps import PsiMap
@@ -53,26 +54,36 @@ class LinearProblem:
     forcing: RhsExpr | None = None
 
     def __post_init__(self):
-        self.psi.check_in_domain(self.a, "a")
-        self.psi.check_in_domain(self.b, "b")
+        raise_on(self.psi.domain_violations((self.a, "a"), (self.b, "b")),
+                 DomainViolation)
         if not self.a < self.b:
             raise DomainViolation("need a < b")
-        if self.mu is not None and not self.mu > 1.0 - self.params.eta:
-            raise ParamViolation(
-                f"mu must exceed 1-eta = {1.0 - self.params.eta}, got {self.mu!r}"
-            )
-        if self.mu is not None and self.forcing is not None:
-            raise ParamViolation(
-                "the variable-coefficient mode is homogeneous; drop the forcing"
-            )
-        if self.forcing is not None and self.forcing.uses_y():
-            raise ParamViolation("forcing must be a function of t only")
+        raise_on(self.violations(self.params.eta, self.mu, self.forcing),
+                 ParamViolation)
+
+    @staticmethod
+    def violations(eta, mu, forcing=None) -> list[str]:
+        """The message of each rule that eta, mu and the forcing break;
+        None is unchecked."""
+        problems = []
+        if mu is not None and eta is not None and not mu > 1.0 - eta:
+            problems.append(f"mu must exceed 1-eta = {1.0 - eta}, got {mu!r}")
+        if mu is not None and forcing is not None:
+            problems.append("the variable-coefficient mode is homogeneous; "
+                            "drop the forcing")
+        if forcing is not None and forcing.uses_y():
+            problems.append("forcing must be a function of t only")
+        return problems
+
+
+def solve_violations(n) -> list[str]:
+    """The message of the panel-count rule of both solves, if n breaks it."""
+    return broken((n, lambda v: v >= 8, "need n >= 8"))
 
 
 def variable_series_params(params: OrderParams, mu: float) -> tuple[float, float]:
     """Kilbas-Saigo parameters (m, l) of the variable-coefficient series."""
-    if not mu > 1.0 - params.eta:
-        raise ParamViolation(f"mu must exceed 1-eta = {1.0 - params.eta}")
+    raise_on(LinearProblem.violations(params.eta, mu), ParamViolation)
     m = 1.0 + (mu - 1.0) / params.eta
     l = (mu + params.zeta - 2.0) / params.eta
     return m, l
@@ -90,8 +101,7 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
     """
     if problem.mu is not None:
         raise ParamViolation("use solve_variable when mu is present")
-    if n < 8:
-        raise GridTooCoarse("need n >= 8")
+    raise_on(solve_violations(n), GridTooCoarse)
     p = problem.params
     grid = build_grid(problem.psi, problem.a, problem.b, n)
     x = grid.x
@@ -117,8 +127,7 @@ def solve_variable(problem: LinearProblem, n: int) -> WeightedGridFunction:
     """
     if problem.mu is None:
         raise ParamViolation("solve_variable needs mu")
-    if n < 8:
-        raise GridTooCoarse("need n >= 8")
+    raise_on(solve_violations(n), GridTooCoarse)
     p = problem.params
     m, l = variable_series_params(p, problem.mu)
     grid = build_grid(problem.psi, problem.a, problem.b, n)

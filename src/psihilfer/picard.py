@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, GridTooCoarse
+from .errors import DomainViolation, GridTooCoarse, broken, raise_on
 from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
                        WeightedGridFunction, build_grid, hilfer_derivative)
 from .psi_maps import PsiMap, psi_increment
@@ -54,12 +54,18 @@ class CauchyProblem:
     k_box: float
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise DomainViolation(f"xi must be positive, got {self.xi!r}")
-        if not self.k_box > 0:
-            raise DomainViolation(f"k_box must be positive, got {self.k_box!r}")
-        self.psi.check_in_domain(self.a, "a")
-        self.psi.check_in_domain(self.a + self.xi, "a+xi")
+        raise_on(self.violations(self.psi, self.a, self.xi, self.k_box),
+                 DomainViolation)
+
+    @staticmethod
+    def violations(psi, a, xi, k_box) -> list[str]:
+        """The message of each rule these values break; None is unchecked,
+        and the domain only when psi, a and a positive xi are given."""
+        problems = broken((xi, lambda v: v > 0, "xi must be positive"),
+                          (k_box, lambda v: v > 0, "k_box must be positive"))
+        if psi is not None and a is not None and xi is not None and xi > 0:
+            problems += psi.domain_violations((a, "a"), (a + xi, "a+xi"))
+        return problems
 
 
 @dataclass
@@ -149,6 +155,19 @@ def picard_step(rhs: RhsExpr, op: FracIntegralOperator, w0_const: float,
     return w0_const + op.apply_weighted(phi)
 
 
+def solve_violations(n=None, tol=None, max_iter=None, L_override=None,
+                     horizon=None, xi=None) -> list[str]:
+    """The message of each rule of :func:`picard_solve` these values
+    break (``L_override``: of :func:`estimate_constants`); None is
+    unchecked, and ``horizon`` only against a given ``xi``."""
+    return broken((n, lambda v: v >= 16, "solver needs n >= 16"),
+                  (tol, lambda v: v > 0, "tol must be positive"),
+                  (max_iter, lambda v: v >= 1, "max_iter must be at least 1"),
+                  (L_override, lambda v: v > 0, "L_override must be positive"),
+                  (horizon, lambda v: xi is None or 0 < v <= xi * (1.0 + 1e-12),
+                   "horizon must lie in (0, xi]"))
+
+
 def estimate_constants(problem: CauchyProblem, n: int,
                        L_override: float | None = None) -> tuple[float, float]:
     """Lipschitz constant L and weighted bound M of f on the trust box.
@@ -158,6 +177,7 @@ def estimate_constants(problem: CauchyProblem, n: int,
     [a, a + xi].  M is the weighted sup of f along the initial iterate
     plus Lipschitz slack covering the whole box.
     """
+    raise_on(solve_violations(L_override=L_override), DomainViolation)
     p = problem.params
     scout = build_grid(problem.psi, problem.a, problem.a + problem.xi, n)
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
@@ -165,8 +185,6 @@ def estimate_constants(problem: CauchyProblem, n: int,
     xw = scout.x_pow(1.0 - p.zeta)
     y0 = w0c * xp[1:]
     if L_override is not None:
-        if not L_override > 0:
-            raise DomainViolation("L_override must be positive")
         l_used = float(L_override)
     else:
         l_used = lipschitz_estimate(problem.rhs,
@@ -192,23 +210,15 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     still useful.  An iterate drifting more than 10% outside the trust
     box is recorded as a warning flag and iteration continues.
     """
-    if n < 16:
-        raise GridTooCoarse("solver needs n >= 16")
-    if not tol > 0:
-        raise DomainViolation("tol must be positive")
-    if max_iter < 1:
-        raise DomainViolation("max_iter must be at least 1")
+    raise_on(solve_violations(n=n), GridTooCoarse)
+    raise_on(solve_violations(tol=tol, max_iter=max_iter, horizon=horizon,
+                              xi=problem.xi), DomainViolation)
     p = problem.params
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
 
     l_used, m_used = estimate_constants(problem, n, L_override)
     chi_formula = existence_interval(problem, m_used)
-    if horizon is None:
-        chi_used = chi_formula
-    else:
-        if not 0 < horizon <= problem.xi * (1.0 + 1e-12):
-            raise DomainViolation("horizon must lie in (0, xi]")
-        chi_used = float(horizon)
+    chi_used = chi_formula if horizon is None else float(horizon)
 
     grid = build_grid(problem.psi, problem.a, problem.a + chi_used, n)
     op = FracIntegralOperator(grid, p.eta, zeta=p.zeta)
@@ -286,6 +296,8 @@ def continuous_dependence_bound(y_a: float, z_a: float, L: float,
     """
     if not L > 0:
         raise DomainViolation("L must be positive")
+    if not math.isfinite(y_a) or not math.isfinite(z_a):
+        raise DomainViolation(f"y_a and z_a must be finite, got {y_a!r}, {z_a!r}")
     if y_a == z_a:
         return 0.0
     p = params

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, NonMonotone
+from .errors import DomainViolation, NonMonotone, raise_on
 
 _MONOTONE_SAMPLES = 64
 _BISECT_ATOL = 1e-13
@@ -46,13 +46,13 @@ class PsiMap:
     def inverse(self, u):
         return self._inverse(u)
 
-    def check_in_domain(self, t: float, what: str = "t") -> None:
+    def domain_violations(self, *points) -> list[str]:
+        """A message for each ``(t, what)`` point outside the domain
+        (widened by 1e-9 of its largest end, at least 1e-9)."""
         lo, hi = self.domain
         tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if not (lo - tol <= t <= hi + tol):
-            raise DomainViolation(
-                f"{what}={t!r} outside map domain [{lo}, {hi}]"
-            )
+        return [f"{what}={t!r} outside map domain [{lo}, {hi}]"
+                for t, what in points if not lo - tol <= t <= hi + tol]
 
 
 def _check_monotone(eval_fn, deriv_fn, domain) -> None:
@@ -204,8 +204,7 @@ def psi_increment(psi: PsiMap, a: float, t: float) -> float:
 
     Returns exactly 0.0 when ``t == a``.
     """
-    psi.check_in_domain(a, "a")
-    psi.check_in_domain(t, "t")
+    raise_on(psi.domain_violations((a, "a"), (t, "t")), DomainViolation)
     if t < a:
         raise DomainViolation(f"need a <= t, got a={a!r}, t={t!r}")
     if t == a:

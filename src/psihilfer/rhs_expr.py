@@ -161,6 +161,8 @@ class _Parser:
     def _atom(self):
         kind, val, off = self.toks.next()
         if kind == "num":
+            if float(val) == np.inf:
+                raise ExprSyntaxError(f"number {val} overflows", off)
             return Num(float(val), off)
         if kind == "ident":
             nk, nv, _ = self.toks.peek()
@@ -289,8 +291,8 @@ def parse(text: str) -> RhsExpr:
     """Parse expression text into an immutable AST.
 
     Raises :class:`ExprSyntaxError` (with byte offset) on malformed
-    input and :class:`UnknownIdentifier` for names other than t, y and
-    the built-in functions.
+    input or a number that overflows, and :class:`UnknownIdentifier`
+    for names other than t, y and the built-in functions.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)

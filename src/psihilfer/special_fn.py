@@ -43,8 +43,8 @@ class MLSeriesParams:
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ParamViolation("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ParamViolation("rel_tol must be finite and positive")
         if self.max_terms <= 0:
             raise ParamViolation("max_terms must be positive")
 
@@ -75,6 +75,20 @@ def log_gamma(x: float) -> float:
     if not x > 0:
         raise DomainViolation(f"log_gamma needs x > 0, got {x!r}")
     return math.lgamma(x)
+
+
+def _check_params(z=0.0, l=0.0, **positive) -> None:
+    """Raise DomainViolation unless each keyword value (an order or exponent) is
+    finite and positive, and the shift l and the argument z (scalar or
+    array) are finite."""
+    for name, v in positive.items():
+        if not 0.0 < v < math.inf:
+            raise DomainViolation(f"{name} must be finite and positive, got {v!r}")
+    for name, v in (("l", l), ("z", z)):
+        bad = (v[~np.isfinite(v)] if isinstance(v, np.ndarray)
+               else [] if math.isfinite(v) else [v])
+        if len(bad):
+            raise DomainViolation(f"{name} must be finite, got {float(bad[0])!r}")
 
 
 def _is_small_positive_int(x: float) -> int | None:
@@ -189,12 +203,7 @@ def mittag_leffler2(eta: float, nu: float, z: float,
     Special values: E[1,1](z) = exp(z), E[2,2](z^2) = sinh(z)/z,
     E[eta, nu](0) = 1/Gamma(nu).
     """
-    if not eta > 0:
-        raise DomainViolation(f"eta must be positive, got {eta!r}")
-    if not nu > 0:
-        raise DomainViolation(f"nu must be positive, got {nu!r}")
-    if not math.isfinite(z):
-        raise DomainViolation(f"z must be finite, got {z!r}")
+    _check_params(z, eta=eta, nu=nu)
     if z == 0.0:
         return SeriesResult(math.exp(-math.lgamma(nu)), 1, 0.0, True)
     return _series_result(_ml_terms(eta, nu, _LD(z), policy.max_terms), policy)
@@ -208,12 +217,7 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
     E(0) = 1 exactly.  A nonpositive Gamma argument anywhere in the
     product raises ParamViolation.
     """
-    if not eta > 0:
-        raise DomainViolation(f"eta must be positive, got {eta!r}")
-    if not m > 0:
-        raise DomainViolation(f"m must be positive, got {m!r}")
-    if not math.isfinite(z):
-        raise DomainViolation(f"z must be finite, got {z!r}")
+    _check_params(z, l, eta=eta, m=m)
     if z == 0.0:
         return SeriesResult(1.0, 1, 0.0, True)
     return _series_result(_ks_terms(eta, m, l, _LD(z), policy.max_terms), policy)
@@ -221,8 +225,7 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
 
 def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
     """First ``count`` + 1 Kilbas-Saigo coefficients c_0 .. c_count."""
-    if not eta > 0 or not m > 0:
-        raise DomainViolation("eta and m must be positive")
+    _check_params(l=l, eta=eta, m=m)
     return np.fromiter(_ks_terms(eta, m, l, _LD(1.0), count), dtype=float,
                        count=count + 1)
 
@@ -236,8 +239,7 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int,
     decreasing while terms remain nonzero and avoids the catastrophic
     cancellation of forming E(z) minus a partial sum.
     """
-    if not eta > 0 or not nu > 0:
-        raise DomainViolation("eta and nu must be positive")
+    _check_params(z, eta=eta, nu=nu)
     if z < 0:
         raise DomainViolation("tail sums are defined for z >= 0")
     if n_max < 0:
@@ -260,9 +262,8 @@ def ks_array(eta: float, m: float, l: float, z: np.ndarray,
     Coefficients are shared across all entries of z, so the cost is one
     Gamma ratio per retained series order.
     """
-    if not eta > 0 or not m > 0:
-        raise DomainViolation("eta and m must be positive")
     z = np.asarray(z, dtype=float)
+    _check_params(z, l, eta=eta, m=m)
     return _sum_to_tolerance(_ks_terms(eta, m, l, z, policy.max_terms), policy)[0]
 
 
@@ -275,7 +276,6 @@ def ml2_array(eta: float, nu: float, z: np.ndarray,
     (|z| of order a few).  Accumulation order is fixed, so results are
     deterministic.
     """
-    if not eta > 0 or not nu > 0:
-        raise DomainViolation("eta and nu must be positive")
     z = np.asarray(z, dtype=float)
+    _check_params(z, eta=eta, nu=nu)
     return _sum_to_tolerance(_ml_terms(eta, nu, z, policy.max_terms), policy)[0]

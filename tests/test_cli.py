@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from psihilfer import (CauchyProblem, LinearProblem, picard_solve,
-                       solve_variable)
+from psihilfer import (CauchyProblem, LinearProblem, OrderParams,
+                       PsiHilferError, make_psi, parse, picard_solve,
+                       solve_constant, solve_variable)
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                           load_config, main)
+                           LINEAR_KEYS, SOLVE_KEYS, load_config, main)
 from psihilfer.errors import ValidationError
 
 BASE_CONFIG = {
@@ -76,6 +77,57 @@ def test_k_is_not_an_alias_of_k_box(tmp_path):
     with pytest.raises(ValidationError) as exc_info:
         load_config(_write_config(tmp_path / "c.json", k=2.0))
     assert "unknown config key 'k'" in exc_info.value.violations
+
+
+IDENT = make_psi("identity", (), (0.0, 2.0))
+
+
+def _cauchy(**changes):
+    args = dict(psi=IDENT, params=OrderParams(0.5, 0.5), a=0.0, xi=1.0,
+                y_a=1.0, rhs=parse("-1*y"), k_box=1.0)
+    return CauchyProblem(**dict(args, **changes))
+
+
+def _linear(**changes):
+    args = dict(psi=IDENT, params=OrderParams(0.5, 0.5), a=0.0, b=1.0,
+                y_a=1.0, lam=-1.0)
+    return LinearProblem(**dict(args, **changes))
+
+
+# rule -> (config changes that break only it, required keys, the library
+# call that raises for the same value)
+OWNER_RULES = {
+    "eta": ({"eta": 1.5}, SOLVE_KEYS, lambda: OrderParams(1.5, 0.5)),
+    "nu": ({"nu": 2.0}, SOLVE_KEYS, lambda: OrderParams(0.5, 2.0)),
+    "xi": ({"xi": -1.0}, SOLVE_KEYS, lambda: _cauchy(xi=-1.0)),
+    "k_box": ({"k_box": 0.0}, SOLVE_KEYS, lambda: _cauchy(k_box=0.0)),
+    "psi-domain": ({"a": 1.5}, SOLVE_KEYS, lambda: _cauchy(a=1.5)),
+    "solve-n": ({"n": 8}, SOLVE_KEYS, lambda: picard_solve(_cauchy(), n=8)),
+    "linear-n": ({"n": 4, "lambda": -1.0}, LINEAR_KEYS,
+                 lambda: solve_constant(_linear(), 4)),
+    "tol": ({"tol": 0.0}, SOLVE_KEYS, lambda: picard_solve(_cauchy(), 16, tol=0.0)),
+    "max_iter": ({"max_iter": 0}, SOLVE_KEYS,
+                 lambda: picard_solve(_cauchy(), 16, max_iter=0)),
+    "horizon": ({"horizon": 1.5}, SOLVE_KEYS,
+                lambda: picard_solve(_cauchy(), 16, horizon=1.5)),
+    "L_override": ({"L_override": -1.0}, SOLVE_KEYS,
+                   lambda: picard_solve(_cauchy(), 16, L_override=-1.0)),
+    "mu": ({"mu": 0.2}, SOLVE_KEYS, lambda: _linear(mu=0.2)),
+    "forcing": ({"forcing": "y"}, SOLVE_KEYS, lambda: _linear(forcing=parse("y"))),
+    "mu-with-forcing": ({"mu": 1.2, "forcing": "t"}, SOLVE_KEYS,
+                        lambda: _linear(mu=1.2, forcing=parse("t"))),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(OWNER_RULES))
+def test_config_reports_the_library_message(tmp_path, rule):
+    changes, required, owner_call = OWNER_RULES[rule]
+    path = _write_config(tmp_path / "c.json", **changes)
+    with pytest.raises(ValidationError) as exc_info:
+        load_config(path, required)
+    with pytest.raises(PsiHilferError) as owner:
+        owner_call()
+    assert exc_info.value.violations == [str(owner.value)]
 
 
 def test_solve_writes_csv_and_report(tmp_path):
@@ -167,6 +219,21 @@ def test_linear_variable_mode(tmp_path):
     assert [line.split(",")[1] for line in lines[1:]] == [f"{v:.17g}" for v in w]
 
 
+@pytest.mark.parametrize("mu", [None, 1.2])
+def test_linear_accepts_the_panel_counts_of_its_solvers(tmp_path, mu):
+    # solve_constant and solve_variable take n >= 8; picard_solve n >= 16
+    out = tmp_path / "lin.csv"
+    extra = {} if mu is None else {"mu": mu}
+    cfg_path = _write_config(tmp_path / "c.json", n=8, output_path=str(out),
+                             **{"lambda": -1.0}, **extra)
+    assert main(["linear", cfg_path]) == EXIT_OK
+    problem = _linear(mu=mu)
+    solve = solve_constant if mu is None else solve_variable
+    w = solve(problem, 8).w
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == [f"{v:.17g}" for v in w]
+
+
 def test_linear_with_mu_and_forcing_exits_2(tmp_path, capsys):
     out = tmp_path / "var.csv"
     cfg = _write_config(tmp_path / "c.json", eta=0.6, nu=0.4, mu=1.2,
@@ -176,7 +243,8 @@ def test_linear_with_mu_and_forcing_exits_2(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     payload = json.loads(line)
     assert payload["category"] == "validation"
-    assert "homogeneous" in payload["message"]
+    assert ("the variable-coefficient mode is homogeneous; drop the forcing"
+            in payload["violations"])
     assert not out.exists()
 
 
@@ -200,7 +268,7 @@ def test_linear_reports_missing_lambda_with_other_violations(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     violations = json.loads(line)["violations"]
     assert "missing required key 'lambda'" in violations
-    assert "eta must lie in (0,1]" in violations
+    assert "eta must lie in (0,1], got 1.5" in violations
 
 
 @pytest.mark.parametrize("command", ["solve", "bounds"])
@@ -214,11 +282,11 @@ def test_solve_and_bounds_require_rhs_and_k_box(tmp_path, capsys, command):
                           "missing required key 'k_box'"]
 
 
-def _psi_config(tmp_path, psi_text):
+def _raw_config(tmp_path, key, text):
     # raw JSON text, so non-JSON-native values such as 1e400 stay literal
-    body = json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "psi"})
+    body = json.dumps({k: v for k, v in BASE_CONFIG.items() if k != key})
     path = tmp_path / "c.json"
-    path.write_text('{"psi": ' + psi_text + ", " + body[1:])
+    path.write_text('{"' + key + '": ' + text + ", " + body[1:])
     return str(path)
 
 
@@ -231,18 +299,18 @@ def _frint_input(tmp_path, rows):
 
 # case -> (argv built in a temporary directory, text the error must name)
 MALFORMED = {
-    "psi-string": (lambda d: ["solve", _psi_config(d, '"identity"')],
+    "psi-string": (lambda d: ["solve", _raw_config(d, "psi", '"identity"')],
                    "JSON object"),
-    "rho-string": (lambda d: ["solve", _psi_config(
-        d, '{"kind": "power", "rho": "x", "domain": [0, 2]}')], "'rho'"),
-    "domain-string": (lambda d: ["solve", _psi_config(
-        d, '{"kind": "identity", "domain": [0, "a"]}')], "'domain'"),
-    "domain-overflow": (lambda d: ["solve", _psi_config(
-        d, '{"kind": "identity", "domain": [0, 1e400]}')], "not finite"),
-    "domain-overflows-exp": (lambda d: ["solve", _psi_config(
-        d, '{"kind": "exp", "domain": [0, 1000]}')], "positive and finite"),
-    "rho-on-identity": (lambda d: ["solve", _psi_config(
-        d, '{"kind": "identity", "rho": 2.0, "domain": [0, 2]}')],
+    "rho-string": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "power", "rho": "x", "domain": [0, 2]}')], "'rho'"),
+    "domain-string": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "identity", "domain": [0, "a"]}')], "'domain'"),
+    "domain-overflow": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "identity", "domain": [0, 1e400]}')], "not finite"),
+    "domain-overflows-exp": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "exp", "domain": [0, 1000]}')], "positive and finite"),
+    "rho-on-identity": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "identity", "rho": 2.0, "domain": [0, 2]}')],
         "identity map takes 0 parameter"),
     "frint-rho-on-identity": (lambda d: [
         *_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]), "--rho", "3"],
@@ -258,6 +326,50 @@ MALFORMED = {
         "bounds", _write_config(d / "c.json"), "--norm-f", "inf"], "norm_f"),
     "ml-rel-tol-nan": (lambda d: ["ml", "--eta", "1", "--nu", "1", "--z", "1",
                                   "--rel-tol", "nan"], "rel_tol"),
+    "ml-rel-tol-inf": (lambda d: ["ml", "--eta", "1", "--nu", "1", "--z", "1",
+                                  "--rel-tol", "inf"],
+                       "rel_tol must be finite and positive"),
+    "ml-eta-inf": (lambda d: ["ml", "--eta", "inf", "--nu", "1", "--z", "1"],
+                   "eta must be finite and positive, got inf"),
+    "ml-nu-inf": (lambda d: ["ml", "--eta", "1", "--nu", "inf", "--z", "1"],
+                  "nu must be finite and positive, got inf"),
+    "ml-ks-l-nan": (lambda d: ["ml", "--family", "kilbas-saigo", "--eta", "0.5",
+                               "--m", "1", "--l", "nan", "--z", "1"],
+                    "l must be finite, got nan"),
+    "frint-eta-inf": (lambda d: [
+        *_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]), "--eta", "inf"],
+        "eta must be finite and positive, got inf"),
+    "usage-missing-z": (lambda d: ["ml", "--eta", "1", "--nu", "1"],
+                        "the following arguments are required: --z"),
+    "usage-unknown-flag": (lambda d: ["ml", "--eta", "1", "--nu", "1",
+                                      "--z", "1", "--bogus"],
+                           "unrecognized arguments: --bogus"),
+    "usage-eta-not-a-number": (lambda d: ["ml", "--eta", "x", "--nu", "1",
+                                          "--z", "1"],
+                               "argument --eta: invalid float value: 'x'"),
+    "bounds-z-a-nan": (lambda d: [
+        "bounds", _write_config(d / "c.json"), "--z-a", "nan"],
+        "z_a must be finite"),
+    "parse-check-overflow": (lambda d: ["parse-check", "y + 1e400"],
+                             "number 1e400 overflows (at offset 4)"),
+    "rhs-overflow": (lambda d: ["solve", _write_config(d / "c.json",
+                                                       rhs="1e400*y")],
+                     "rhs: number 1e400 overflows (at offset 0)"),
+    "config-y_a-nan": (lambda d: ["solve", _write_config(d / "c.json",
+                                                         y_a=math.nan)],
+                       "y_a must be finite"),
+    "config-y_a-infinity": (lambda d: ["solve", _write_config(
+        d / "c.json", y_a=math.inf)], "y_a must be finite"),
+    "config-lambda-nan": (lambda d: ["linear", _write_config(
+        d / "c.json", **{"lambda": math.nan})], "lambda must be finite"),
+    "config-k_box-infinity": (lambda d: ["solve", _write_config(
+        d / "c.json", k_box=math.inf)], "k_box must be finite"),
+    "config-tol-infinity": (lambda d: ["solve", _write_config(
+        d / "c.json", tol=math.inf)], "tol must be finite"),
+    "config-xi-overflow": (lambda d: ["solve", _raw_config(d, "xi", "1e400")],
+                           "xi must be finite"),
+    "config-horizon-beyond-xi": (lambda d: ["solve", _write_config(
+        d / "c.json", horizon=1.5)], "horizon must lie in (0, xi], got 1.5"),
 }
 
 

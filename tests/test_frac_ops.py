@@ -29,6 +29,17 @@ def test_order_params_validation():
         OrderParams(1.5, 0.5)
     with pytest.raises(DomainViolation):
         OrderParams(0.5, -0.1)
+    with pytest.raises(DomainViolation,
+                       match=r"eta must lie .*, got 1.5; nu must lie .*, got 2.0"):
+        OrderParams(1.5, 2.0)
+
+
+def test_non_finite_order_rejected():
+    grid = build_grid(IDENT, 0.0, 1.0, 8)
+    with pytest.raises(DomainViolation, match="eta must be finite"):
+        FracIntegralOperator(grid, math.inf)
+    with pytest.raises(DomainViolation, match="eta must be finite"):
+        monomial_oracle(IDENT, math.inf, 1.0, 0.0, 0.5)
 
 
 def test_grid_is_uniform_in_transform():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from psihilfer import (CauchyProblem, FracIntegralOperator, GridTooCoarse,
-                       LinearProblem, OrderParams,
+from psihilfer import (CauchyProblem, DomainViolation, FracIntegralOperator,
+                       GridTooCoarse, LinearProblem, OrderParams,
                        apriori_error_bound_sequence,
                        continuous_dependence_bound, existence_interval,
                        make_psi, parse, picard_solve, picard_step,
@@ -109,6 +109,13 @@ def test_apriori_reference_value():
     val = apriori_error_bound_sequence(1.0, 1.0, 0, OrderParams(0.5, 0.5),
                                        IDENT, 0.0, 0.5)[0]
     assert abs(val - APRIORI0_REFERENCE) < 1e-12 * APRIORI0_REFERENCE
+
+
+@pytest.mark.parametrize("y_a, z_a", [(1.0, math.nan), (math.inf, 1.0)])
+def test_continuous_dependence_rejects_non_finite_data(y_a, z_a):
+    with pytest.raises(DomainViolation, match="must be finite"):
+        continuous_dependence_bound(y_a, z_a, 1.0, OrderParams(0.5, 0.5),
+                                    IDENT, 0.0, 1.0)
 
 
 def test_continuous_dependence_trivial_and_limit():

@@ -55,6 +55,13 @@ def test_syntax_error_carries_offset():
     assert exc_info.value.offset == 4
 
 
+def test_overflowing_literal_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as exc_info:
+        parse("y + 1e400")
+    assert exc_info.value.offset == 4
+    assert parse("1e308").eval(0.0, 0.0) == 1e308
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifier):
         parse("x + 1")

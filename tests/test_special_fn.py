@@ -84,6 +84,25 @@ def test_non_finite_argument_rejected(z):
         kilbas_saigo(0.5, 1.0, 0.0, z)
 
 
+NON_FINITE_PARAMETERS = {
+    "ml-eta-inf": lambda: mittag_leffler2(math.inf, 1.0, 1.0),
+    "ml-nu-inf": lambda: mittag_leffler2(1.0, math.inf, 1.0),
+    "ks-m-inf": lambda: kilbas_saigo(0.5, math.inf, 0.0, 1.0),
+    "ks-l-nan": lambda: kilbas_saigo(0.5, 1.0, math.nan, 1.0),
+    "coefficients-l-nan": lambda: ks_coefficients(0.5, 1.0, math.nan, 3),
+    "tails-z-inf": lambda: ml2_tail_sums(0.5, 1.0, math.inf, 3),
+    "ml-array-z-nan": lambda: ml2_array(0.5, 1.0, np.array([1.0, math.nan])),
+    "ks-array-z-inf": lambda: ks_array(0.5, 1.0, 0.0, np.array([math.inf])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PARAMETERS))
+def test_non_finite_parameters_rejected(case):
+    # one check serves every evaluator: no OverflowError, no series overflow
+    with pytest.raises(DomainViolation, match="must be finite"):
+        NON_FINITE_PARAMETERS[case]()
+
+
 def test_series_params_reject_nan_tolerance():
     with pytest.raises(ParamViolation):
         MLSeriesParams(rel_tol=math.nan)
