@@ -24,7 +24,8 @@ class GridTooCoarse(PsiHilferError):
 
 
 class OverflowGuard(PsiHilferError):
-    """A series term would exceed the representable floating-point range."""
+    """A series term, Gamma value or quadrature weight would exceed the
+    representable floating-point range."""
 
 
 class ParamViolation(PsiHilferError):

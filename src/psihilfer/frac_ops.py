@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainViolation, GridMismatch, GridTooCoarse, broken,
-                     raise_on)
+from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
+                     OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
 from .special_fn import _check_params, log_gamma, mittag_leffler2
 
@@ -211,8 +211,16 @@ class FracIntegralOperator:
         self.grid = grid
         self.eta = eta = float(eta)
         self.zeta = z = float(zeta)
-        cl, cr = _abel_kernels(eta, grid.n)
-        scale = grid.h ** eta * math.exp(-log_gamma(eta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cl, cr = _abel_kernels(eta, grid.n)
+        try:
+            scale = grid.h ** eta * math.exp(-log_gamma(eta))
+        except OverflowError:  # h ** eta beyond the double range
+            scale = math.inf
+        if not (math.isfinite(scale) and np.isfinite(cl).all()
+                and np.isfinite(cr).all()):
+            raise OverflowGuard(f"the order-{eta!r} weights on this grid "
+                                "exceed the floating-point range")
         self._conv = _abel_product_rule(cl, cr, scale)
         self.to_plain = grid.x_pow(z - 1.0)
         self.to_plain[0] = 0.0

@@ -96,6 +96,22 @@ def _bisect_inverse(eval_fn, domain):
     return inverse
 
 
+def _float(value) -> float:
+    """``float(value)``, with an integer beyond the double range taken as
+    the infinity of its sign, so that the finiteness rules reject it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
+def _checked_domain(domain) -> tuple[float, float]:
+    lo, hi = _float(domain[0]), _float(domain[1])
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainViolation(f"domain [{lo}, {hi}] is empty or not finite")
+    return lo, hi
+
+
 def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
     """Build one of the registered transform kinds.
 
@@ -114,13 +130,11 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
     DomainViolation
         Unknown kind, wrong number of parameters, an empty or non-finite
         domain, ``log`` with a nonpositive left endpoint, or a power
-        exponent that is not positive.
+        exponent that is not finite and positive.
     NonMonotone
         Derivative fails the positivity spot check.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not -np.inf < lo < hi < np.inf:
-        raise DomainViolation(f"domain [{lo}, {hi}] is empty or not finite")
+    lo, hi = _checked_domain(domain)
     arity = _KIND_ARITY.get(kind)
     if arity is None:
         raise DomainViolation(f"unknown map kind {kind!r}")
@@ -133,9 +147,9 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
                lambda t: np.ones_like(np.asarray(t, dtype=float)),
                lambda u: np.asarray(u, dtype=float) + 0.0)
     elif kind == "power":
-        rho = float(params[0])
-        if not rho > 0:
-            raise DomainViolation("power map needs a positive exponent")
+        rho = _float(params[0])
+        if not 0 < rho < np.inf:
+            raise DomainViolation("power map needs a finite positive exponent")
         if lo < 0:
             raise DomainViolation("power map requires a nonnegative domain")
         fns = (lambda t, r=rho: np.power(np.asarray(t, dtype=float), r),
@@ -170,9 +184,7 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     shape and raises :class:`DomainViolation` for targets that are not
     finite or lie outside ``[eval_fn(lo), eval_fn(hi)]``.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not -np.inf < lo < hi < np.inf:
-        raise DomainViolation(f"domain [{lo}, {hi}] is empty or not finite")
+    lo, hi = _checked_domain(domain)
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
     if inverse_fn is None:
         inverse_fn = _bisect_inverse(eval_fn, (lo, hi))

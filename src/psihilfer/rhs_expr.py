@@ -27,6 +27,10 @@ _OPERATORS = {
     "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
     "^": np.power, "neg": np.negative,
 }
+# the entries above that can map a non-finite operand to a finite value
+# (x/inf = 0, 1^nan = 1, exp(-inf) = 0); every other entry returns a
+# non-finite value whenever an operand is not finite
+_MASKING = frozenset({"/", "^", "pow", "exp"})
 _VARIABLES = ("t", "y")
 
 _TOKEN_RE = re.compile(
@@ -235,22 +239,53 @@ def _uses_y(node) -> bool:
 
 
 def _eval_array(node, t, y):
-    """Evaluate over numpy arrays, pinning domain failures to the node."""
-    if isinstance(node, Num):
-        return np.full(np.shape(t), node.value)
-    if isinstance(node, Var):
-        return np.asarray(t if node.name == "t" else y, dtype=float)
-    fn = (_FUNCTIONS[node.name][1] if isinstance(node, Call)
-          else _OPERATORS[node.op if isinstance(node, Bin) else "neg"])
-    args = [_eval_array(child, t, y) for child in _children(node)]
+    """Evaluate over numpy arrays, pinning domain failures to the node.
+
+    One post-order walk under one ``errstate`` records the value of each
+    operator node.  Outside ``_MASKING`` every table entry returns a
+    non-finite value for a non-finite operand, so a non-finite operator
+    node shows either at the root or as an operand of a masking entry,
+    and only those two places are checked.  A failed check raises at the
+    first non-finite operator node in post-order: the node that checking
+    every operation would have named.  Leaves are never checked: ``y``
+    returns a non-finite y as given, and ``1/y`` maps y = inf to 0.
+    """
+    record = []
     with np.errstate(all="ignore"):
-        out = fn(*args)
-    if not np.all(np.isfinite(out)):
-        raise ExprDomainError(
-            f"undefined value in {_ERROR_LABELS[type(node)].format(node)}",
-            node.offset
-        )
+        out = _walk(node, t, y, record)
+    if not np.isfinite(out).all():
+        _raise_at_first_non_finite(record)
     return out
+
+
+def _walk(node, t, y, record):
+    kind = type(node)
+    if kind is Num:
+        return np.full(np.shape(t), node.value)
+    if kind is Var:
+        return t if node.name == "t" else y
+    key = node.name if kind is Call else node.op if kind is Bin else "neg"
+    children = _children(node)
+    args = [_walk(child, t, y, record) for child in children]
+    if key in _MASKING:
+        for child, arg in zip(children, args):
+            if type(child) not in (Num, Var) and not np.isfinite(arg).all():
+                _raise_at_first_non_finite(record)
+    out = (_FUNCTIONS[key][1] if kind is Call else _OPERATORS[key])(*args)
+    record.append((node, out))
+    return out
+
+
+def _raise_at_first_non_finite(record):
+    """Raise ExprDomainError at the first node of ``record``, a list of
+    (operator node, value) in post-order, whose value is not finite;
+    return if there is none."""
+    for node, value in record:
+        if not np.isfinite(value).all():
+            raise ExprDomainError(
+                f"undefined value in {_ERROR_LABELS[type(node)].format(node)}",
+                node.offset
+            )
 
 
 def _tree_lines(node, depth: int):
@@ -267,7 +302,7 @@ class RhsExpr:
     text: str = field(compare=False, default="")
 
     def eval(self, t: float, y: float) -> float:
-        out = _eval_array(self.root, float(t), float(y))
+        out = _eval_array(self.root, np.asarray(float(t)), np.asarray(float(y)))
         return float(out)
 
     def eval_many(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:

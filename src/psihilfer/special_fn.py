@@ -74,7 +74,11 @@ def log_gamma(x: float) -> float:
     """
     if not x > 0:
         raise DomainViolation(f"log_gamma needs x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise OverflowGuard(
+            f"log_gamma({x!r}) exceeds the floating-point range") from None
 
 
 def _check_params(z=0.0, l=0.0, **positive) -> None:
@@ -102,7 +106,8 @@ def _gamma_ratios(x: np.ndarray, step: float) -> np.ndarray:
     """Gamma(x) / Gamma(x + step) at every entry of x, in extended precision.
 
     Exact rising-factorial form when ``step`` is a small integer; the
-    log-gamma route otherwise.  Requires all arguments positive.
+    log-gamma route otherwise.  Requires all arguments positive; raises
+    OverflowGuard where a Gamma value or the ratio leaves the double range.
     """
     bad = (x <= 0) | (x + step <= 0)
     if bad.any():
@@ -110,8 +115,12 @@ def _gamma_ratios(x: np.ndarray, step: float) -> np.ndarray:
             f"Gamma argument hit a nonpositive value ({float(x[bad][0])!r})")
     p = _is_small_positive_int(step)
     if p is None:
-        return np.array([math.exp(math.lgamma(v) - math.lgamma(v + step))
-                         for v in x.tolist()], dtype=_LD)
+        try:
+            return np.array([math.exp(math.lgamma(v) - math.lgamma(v + step))
+                             for v in x.tolist()], dtype=_LD)
+        except OverflowError:
+            raise OverflowGuard("a Gamma value of the series exceeds the "
+                                "floating-point range") from None
     xi = x.astype(_LD)
     denom = np.ones_like(xi)
     for _ in range(p):
@@ -136,8 +145,13 @@ def _terms(first: float, z, gamma_arg, step: float, count: int):
     yield term
     k, block = 1, _FIRST_BLOCK
     while k <= count:
-        ratios = _gamma_ratios(gamma_arg(np.arange(k - 1, min(k - 1 + block, count),
-                                                   dtype=float)), step)
+        stop = min(k - 1 + block, count)
+        # the block's largest Gamma argument, in Python floats so that
+        # reaching inf raises here and not as a numpy warning below
+        if not math.isfinite(gamma_arg(stop - 1.0) + step):
+            raise OverflowGuard(
+                "a Gamma argument of the series exceeds the floating-point range")
+        ratios = _gamma_ratios(gamma_arg(np.arange(k - 1, stop, dtype=float)), step)
         for r in (ratios.astype(float).tolist() if vector else ratios):
             if vector and not mag * zmax * max(r, 1.0) < math.inf:
                 # a double step that may overflow: the guard below raises
@@ -157,7 +171,7 @@ def _terms(first: float, z, gamma_arg, step: float, count: int):
 
 def _ml_terms(eta: float, nu: float, z, count: int):
     """Terms z^k / Gamma(k*eta + nu) of E[eta, nu](z)."""
-    return _terms(math.exp(-math.lgamma(nu)), z, lambda j: j * eta + nu, eta, count)
+    return _terms(math.exp(-log_gamma(nu)), z, lambda j: j * eta + nu, eta, count)
 
 
 def _ks_terms(eta: float, m: float, l: float, z, count: int):
@@ -205,7 +219,7 @@ def mittag_leffler2(eta: float, nu: float, z: float,
     """
     _check_params(z, eta=eta, nu=nu)
     if z == 0.0:
-        return SeriesResult(math.exp(-math.lgamma(nu)), 1, 0.0, True)
+        return SeriesResult(math.exp(-log_gamma(nu)), 1, 0.0, True)
     return _series_result(_ml_terms(eta, nu, _LD(z), policy.max_terms), policy)
 
 

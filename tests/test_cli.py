@@ -307,6 +307,12 @@ MALFORMED = {
         d, "psi", '{"kind": "identity", "domain": [0, "a"]}')], "'domain'"),
     "domain-overflow": (lambda d: ["solve", _raw_config(
         d, "psi", '{"kind": "identity", "domain": [0, 1e400]}')], "not finite"),
+    "domain-int-overflow": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "identity", "domain": [0, 1' + "0" * 400 + ']}')],
+        "domain [0.0, inf] is empty or not finite"),
+    "rho-int-overflow": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "power", "rho": 1' + "0" * 400 + ', "domain": [0, 2]}')],
+        "power map needs a finite positive exponent"),
     "domain-overflows-exp": (lambda d: ["solve", _raw_config(
         d, "psi", '{"kind": "exp", "domain": [0, 1000]}')], "positive and finite"),
     "rho-on-identity": (lambda d: ["solve", _raw_config(
@@ -527,3 +533,27 @@ def test_ml_overflow_exit_code(capsys):
     assert rc == EXIT_NUMERICAL
     payload = json.loads(capsys.readouterr().err)
     assert payload["category"] == "numerical"
+
+
+# orders that are finite but too large for doubles: the weights, scale or
+# Gamma values of the order overflow
+OVERFLOWING_ORDERS = {
+    "frint-eta-400": lambda d: [*_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]),
+                                "--eta", "400", "--n", "8"],
+    "frint-eta-1e308": lambda d: [*_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]),
+                                  "--eta", "1e308", "--n", "8"],
+    "ml-eta-1e308": lambda d: ["ml", "--eta", "1e308", "--nu", "1", "--z", "1"],
+    "ml-nu-1e308": lambda d: ["ml", "--eta", "0.5", "--nu", "1e308", "--z", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_ORDERS))
+def test_overflowing_order_exits_3_with_one_json_line(tmp_path, capsys, case):
+    assert main(OVERFLOWING_ORDERS[case](tmp_path)) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.err == line + "\n"
+    assert json.loads(line)["category"] == "numerical"
+    assert "floating-point range" in line
+    assert captured.out == ""
+    assert not (tmp_path / "o.csv").exists()

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from psihilfer import (ExprDomainError, ExprSyntaxError, UnknownIdentifier,
                        lipschitz_estimate, parse)
+from psihilfer.rhs_expr import (_ERROR_LABELS, _FUNCTIONS, _MASKING, _OPERATORS,
+                                Bin, Call, Num, Var, _children)
 
 
 def test_eval_examples():
@@ -94,6 +97,120 @@ def test_eval_many_reports_domain_errors():
     expr = parse("ln(y)")
     with pytest.raises(ExprDomainError):
         expr.eval_many(np.zeros(3), np.array([1.0, 0.5, -1.0]))
+
+
+# a non-finite intermediate that a later operation maps to a finite value:
+# the error still names the operation that produced it
+@pytest.mark.parametrize("text,y,op,offset", [
+    ("exp(-1/y)", 0.0, "/", 6), ("1/(1/y)", 0.0, "/", 4),
+    ("pow(2, -1/y)", 0.0, "/", 9), ("t^(1/y)", 0.0, "/", 4),
+    ("exp(-y^2)", 1e200, "^", 6),
+])
+def test_masked_intermediate_keeps_its_node(text, y, op, offset):
+    expr = parse(text)
+    for call in (lambda: expr.eval(0.5, y),
+                 lambda: expr.eval_many(np.array([0.5, 0.5]), np.array([1.0, y]))):
+        with pytest.raises(ExprDomainError) as exc_info:
+            call()
+        assert str(exc_info.value) == (
+            f"undefined value in operator {op!r} (node at offset {offset})")
+        assert exc_info.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["y", "t"])
+def test_eval_many_never_hands_back_its_input(text):
+    t = np.linspace(0.0, 1.0, 5)
+    y = np.linspace(1.0, 2.0, 5)
+    out = parse(text).eval_many(t, y)
+    out[:] = -7.0
+    assert np.array_equal(t, np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(y, np.linspace(1.0, 2.0, 5))
+
+
+@pytest.mark.parametrize("text", ["y", "t", "2", "sin(t)*y"])
+def test_eval_returns_a_python_float(text):
+    assert type(parse(text).eval(0.5, 2.0)) is float
+
+
+_SPECIAL = (np.inf, -np.inf, np.nan)
+_OPERANDS = (0.0, -0.0, 5e-324, 0.5, 1.0, -1.0, 2.0, -2.5, 1e308, -1e308,
+             *_SPECIAL)
+
+
+def _entries():
+    """(key, arity, numpy function) of every operator and function."""
+    yield from ((k, 1 if k == "neg" else 2, fn) for k, fn in _OPERATORS.items())
+    yield from ((k, arity, fn) for k, (arity, fn) in _FUNCTIONS.items())
+
+
+def test_only_masking_entries_can_hide_a_non_finite_operand():
+    # the one-pass evaluator checks operands only at _MASKING entries; any
+    # other entry must pass a non-finite operand on as a non-finite value
+    for key, arity, fn in _entries():
+        hidden = []
+        for args in itertools.product(_OPERANDS, repeat=arity):
+            if all(np.isfinite(args)):
+                continue
+            with np.errstate(all="ignore"):
+                out = fn(*(np.array([a]) for a in args))
+            if np.isfinite(out).all():
+                hidden.append(args)
+        assert bool(hidden) == (key in _MASKING), (key, hidden[:3])
+
+
+def _reference_eval(node, t, y):
+    """Evaluation with a finiteness check after every operation."""
+    if isinstance(node, Num):
+        return np.full(np.shape(t), node.value)
+    if isinstance(node, Var):
+        return np.asarray(t if node.name == "t" else y, dtype=float)
+    fn = (_FUNCTIONS[node.name][1] if isinstance(node, Call)
+          else _OPERATORS[node.op if isinstance(node, Bin) else "neg"])
+    args = [_reference_eval(child, t, y) for child in _children(node)]
+    with np.errstate(all="ignore"):
+        out = fn(*args)
+    if not np.all(np.isfinite(out)):
+        raise ExprDomainError(
+            f"undefined value in {_ERROR_LABELS[type(node)].format(node)}",
+            node.offset
+        )
+    return out
+
+
+def _outcome(evaluate):
+    try:
+        out = evaluate()
+    except ExprDomainError as exc:
+        return type(exc), str(exc), exc.offset
+    return out.shape, out.tobytes()
+
+
+_any_leaf = st.one_of(
+    st.builds(repr, st.floats(0.0, 1e308) | st.sampled_from([5e-324, 700.0])),
+    st.just("t"), st.just("y"),
+)
+
+
+def _any_expr(children):
+    unary = st.builds(lambda c: f"(-{c})", children)
+    binary = st.builds(lambda a, op, b: f"({a} {op} {b})",
+                       children, st.sampled_from("+-*/^"), children)
+    call = st.one_of(*(
+        st.builds(lambda f, *args: f"{f}({', '.join(args)})",
+                  st.just(name), *([children] * arity))
+        for name, (arity, _) in _FUNCTIONS.items()))
+    return st.one_of(unary, binary, call)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_any_leaf, _any_expr, max_leaves=10),
+       st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4))
+def test_eval_many_matches_the_checked_reference(text, points):
+    expr = parse(text)
+    t = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    assert (_outcome(lambda: expr.eval_many(t, y))
+            == _outcome(lambda: _reference_eval(expr.root, t, y)))
 
 
 def test_tree_lines_cover_every_node_kind():
