@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from . import linear_forms, picard, rhs_expr
 from .errors import (ConfigParseError, ExprDomainError, ExprSyntaxError,
                      OverflowGuard, PsiHilferError, ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
-from .psi_maps import PsiMap, make_psi, psi_from_config
+from .psi_maps import make_psi, psi_from_config
 from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
 
 EXIT_OK = 0
@@ -39,24 +40,15 @@ _CONFIG_KEYS = (*SOLVE_KEYS, "tol", "max_iter", "L_override", "lambda", "mu",
 
 @dataclass
 class ProblemConfig:
-    """Validated contents of a problem configuration file."""
+    """A validated config: its subcommand's problem and solve settings."""
 
-    psi: PsiMap
-    params: OrderParams
-    a: float
-    xi: float
-    y_a: float
-    rhs: rhs_expr.RhsExpr | None
-    k_box: float | None
+    problem: picard.CauchyProblem | linear_forms.LinearProblem
     n: int
     tol: float
     max_iter: int
     L_override: float | None
-    lam: float | None
-    mu: float | None
-    forcing: rhs_expr.RhsExpr | None
-    output_path: str
     horizon: float | None
+    output_path: str
 
 
 def _fmt(x: float) -> str:
@@ -130,18 +122,24 @@ def load_config(path: str, required=SOLVE_KEYS) -> ProblemConfig:
     problems += OrderParams.violations(eta, nu)
     problems += picard.CauchyProblem.violations(psi, a, xi, k_box)
     problems += linear_forms.LinearProblem.violations(eta, mu, forcing)
-    problems += (linear_forms.solve_violations(n) if required == LINEAR_KEYS
+    linear = required == LINEAR_KEYS
+    problems += (linear_forms.solve_violations(n) if linear
                  else picard.solve_violations(n=n))
     problems += picard.solve_violations(tol=tol, max_iter=max_iter,
                                         L_override=l_override,
                                         horizon=horizon, xi=xi)
     if problems:
         raise ValidationError(problems)
-    return ProblemConfig(psi=psi, params=OrderParams(eta, nu), a=a, xi=xi,
-                         y_a=y_a, rhs=rhs, k_box=k_box, n=n, tol=tol,
-                         max_iter=max_iter, L_override=l_override, lam=lam,
-                         mu=mu, forcing=forcing, output_path=output_path,
-                         horizon=horizon)
+    params = OrderParams(eta, nu)
+    if linear:
+        problem = linear_forms.LinearProblem(psi=psi, params=params, a=a,
+                                             b=a + xi, y_a=y_a, lam=lam,
+                                             mu=mu, forcing=forcing)
+    else:
+        problem = picard.CauchyProblem(psi=psi, params=params, a=a, xi=xi,
+                                       y_a=y_a, rhs=rhs, k_box=k_box)
+    return ProblemConfig(problem, n, tol, max_iter, l_override, horizon,
+                         output_path)
 
 
 def _emit_solution(path: str, solution) -> None:
@@ -156,17 +154,10 @@ def _emit_solution(path: str, solution) -> None:
         fh.write("\n".join(["t,w,y", *rows]) + "\n")
 
 
-def _cauchy_problem(cfg: ProblemConfig) -> picard.CauchyProblem:
-    return picard.CauchyProblem(psi=cfg.psi, params=cfg.params, a=cfg.a,
-                                xi=cfg.xi, y_a=cfg.y_a, rhs=cfg.rhs,
-                                k_box=cfg.k_box)
-
-
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    problem = _cauchy_problem(cfg)
     solution, report = picard.picard_solve(
-        problem, n=cfg.n, tol=cfg.tol, max_iter=cfg.max_iter,
+        cfg.problem, n=cfg.n, tol=cfg.tol, max_iter=cfg.max_iter,
         L_override=cfg.L_override, horizon=cfg.horizon)
     _emit_solution(cfg.output_path, solution)
     side_car = {
@@ -193,12 +184,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_linear(args) -> int:
     cfg = load_config(args.config, LINEAR_KEYS)
-    problem = linear_forms.LinearProblem(
-        psi=cfg.psi, params=cfg.params, a=cfg.a, b=cfg.a + cfg.xi,
-        y_a=cfg.y_a, lam=cfg.lam, mu=cfg.mu, forcing=cfg.forcing)
-    solve = (linear_forms.solve_constant if cfg.mu is None
+    solve = (linear_forms.solve_constant if cfg.problem.mu is None
              else linear_forms.solve_variable)
-    _emit_solution(cfg.output_path, solve(problem, cfg.n))
+    _emit_solution(cfg.output_path, solve(cfg.problem, cfg.n))
     return EXIT_OK
 
 
@@ -258,15 +246,11 @@ def _cmd_ml(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    problem = _cauchy_problem(cfg)
-    p = cfg.params
+    problem = cfg.problem
+    p = problem.params
     l_used, m_used = picard.estimate_constants(problem, cfg.n, cfg.L_override)
-    if args.norm_f is not None:
-        norm_f = args.norm_f
-        source = "user-norm-f"
-    else:
-        norm_f = m_used
-        source = "measured-M"
+    norm_f, source = ((m_used, "measured-M") if args.norm_f is None
+                      else (args.norm_f, "user-norm-f"))
     chi = picard.existence_interval(problem, norm_f)
     out = [
         f"zeta = {_fmt(p.zeta)}",
@@ -275,16 +259,14 @@ def _cmd_bounds(args) -> int:
         f"norm_f = {_fmt(norm_f)}",
         f"L_used = {_fmt(l_used)}",
     ]
-    if l_used > 0:
-        seq = picard.apriori_error_bound_sequence(norm_f, l_used, args.n_iter,
-                                                  p, cfg.psi, cfg.a, chi)
-        for mth, val in enumerate(seq):
-            out.append(f"apriori[{mth}] = {_fmt(val)}")
-        z_a = cfg.y_a + 0.1 if args.z_a is None else args.z_a
-        delta = abs(z_a - cfg.y_a)
-        cd = picard.continuous_dependence_bound(cfg.y_a, z_a, l_used,
-                                                p, cfg.psi, cfg.a, chi)
-        out.append(f"continuous_dependence(|dy_a|={_fmt(delta)}) = {_fmt(cd)}")
+    seq = picard.apriori_error_bound_sequence(norm_f, l_used, args.n_iter, p,
+                                              problem.psi, problem.a, chi)
+    out += [f"apriori[{mth}] = {_fmt(val)}" for mth, val in enumerate(seq)]
+    z_a = problem.y_a + 0.1 if args.z_a is None else args.z_a
+    cd = picard.continuous_dependence_bound(problem.y_a, z_a, l_used, p,
+                                            problem.psi, problem.a, chi)
+    out.append(f"continuous_dependence(|dy_a|={_fmt(abs(z_a - problem.y_a))})"
+               f" = {_fmt(cd)}")
     print("\n".join(out))
     return EXIT_OK
 
@@ -304,7 +286,13 @@ def _fail(category: str, message: str, extra: dict | None = None) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Sends a malformed command line down the JSON failure path."""
+    """Sends a malformed command line down the JSON failure path, and reads
+    a signed number in exponent notation (``-1e-3``) as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise PsiHilferError(f"{self.prog}: {message}")

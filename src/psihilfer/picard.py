@@ -219,6 +219,10 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     l_used, m_used = estimate_constants(problem, n, L_override)
     chi_formula = existence_interval(problem, m_used)
     chi_used = chi_formula if horizon is None else float(horizon)
+    if not problem.a < problem.a + chi_used:
+        raise DomainViolation(
+            f"the solve interval [a, a + chi] is empty: chi = {chi_used!r} "
+            f"from M_used = {m_used!r} and k_box = {problem.k_box!r}")
 
     grid = build_grid(problem.psi, problem.a, problem.a + chi_used, n)
     op = FracIntegralOperator(grid, p.eta, zeta=p.zeta)
@@ -267,10 +271,10 @@ def apriori_error_bound_sequence(M: float, L: float, n_max: int,
     strictly decreasing by construction.  L = 0 yields the limiting
     bounds M G(zeta) X^eta / G(eta+zeta), 0, 0, ...
     """
-    if M < 0:
-        raise DomainViolation("M must be nonnegative")
-    if L < 0:
-        raise DomainViolation("L must be nonnegative")
+    raise_on(broken((M, lambda v: v >= 0, "M must be nonnegative"),
+                    (L, lambda v: v >= 0, "L must be nonnegative"),
+                    (n_max, lambda v: v >= 0, "n_max must be nonnegative")),
+             DomainViolation)
     x = psi_increment(psi, a, a + chi)
     if M == 0.0:
         return np.zeros(n_max + 1)
@@ -293,9 +297,10 @@ def continuous_dependence_bound(y_a: float, z_a: float, L: float,
     {1 + G(zeta) E[eta, zeta](L X^eta)} * |y_a - z_a| / G(zeta);
     the weighting cancels the initial monomials exactly, so the data
     distance is |y_a - z_a| / G(zeta) with no quadrature involved.
+    L = 0 yields 2 |y_a - z_a| / G(zeta), since E[eta, zeta](0) = 1/G(zeta).
     """
-    if not L > 0:
-        raise DomainViolation("L must be positive")
+    if not L >= 0:
+        raise DomainViolation("L must be nonnegative")
     if not math.isfinite(y_a) or not math.isfinite(z_a):
         raise DomainViolation(f"y_a and z_a must be finite, got {y_a!r}, {z_a!r}")
     if y_a == z_a:

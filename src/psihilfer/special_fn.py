@@ -21,6 +21,7 @@ functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .errors import DomainViolation, OverflowGuard, ParamViolation
 # representable result and signals an argument outside the supported range
 _LOG_HUGE = 700.0
 _LD = np.longdouble
+_LOG_LD_MAX = float(np.log(np.finfo(_LD).max))
 _FIRST_BLOCK = 16
 
 
@@ -123,9 +125,12 @@ def _gamma_ratios(x: np.ndarray, step: float) -> np.ndarray:
                                 "floating-point range") from None
     xi = x.astype(_LD)
     denom = np.ones_like(xi)
-    for _ in range(p):
-        denom *= xi
-        xi += 1
+    # a product past the extended range is inf, and 1/inf = 0 the right ratio
+    past_range = p * math.log(float(x.max()) + p) > _LOG_LD_MAX
+    with np.errstate(over="ignore") if past_range else contextlib.nullcontext():
+        for _ in range(p):
+            denom *= xi
+            xi += 1
     return 1.0 / denom
 
 

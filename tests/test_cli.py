@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from psihilfer import (CauchyProblem, LinearProblem, OrderParams,
-                       PsiHilferError, make_psi, parse, picard_solve,
-                       solve_constant, solve_variable)
+                       PsiHilferError, apriori_error_bound_sequence, make_psi,
+                       parse, picard_solve, solve_constant, solve_variable)
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                            LINEAR_KEYS, SOLVE_KEYS, load_config, main)
 from psihilfer.errors import ValidationError
@@ -33,7 +33,10 @@ def _write_config(path, **overrides):
 
 def test_load_minimal_config(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.json"))
-    assert cfg.params.zeta == 0.75
+    # psi maps built twice hold different callables, so compare the rest
+    assert cfg.problem == _cauchy(psi=cfg.problem.psi)
+    assert cfg.problem.psi.domain == (0.0, 2.0)
+    assert cfg.problem.params.zeta == 0.75
     assert cfg.n == 512
     assert cfg.tol == 1e-10 and cfg.max_iter == 200
 
@@ -211,11 +214,9 @@ def test_linear_variable_mode(tmp_path):
     assert main(["linear", cfg_path]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == "t,w,y"
-    cfg = load_config(cfg_path)
-    problem = LinearProblem(psi=cfg.psi, params=cfg.params, a=cfg.a,
-                            b=cfg.a + cfg.xi, y_a=cfg.y_a, lam=cfg.lam,
-                            mu=cfg.mu)
-    w = solve_variable(problem, cfg.n).w
+    cfg = load_config(cfg_path, LINEAR_KEYS)
+    assert cfg.problem.mu == 1.2
+    w = solve_variable(cfg.problem, cfg.n).w
     assert [line.split(",")[1] for line in lines[1:]] == [f"{v:.17g}" for v in w]
 
 
@@ -376,6 +377,13 @@ MALFORMED = {
                            "xi must be finite"),
     "config-horizon-beyond-xi": (lambda d: ["solve", _write_config(
         d / "c.json", horizon=1.5)], "horizon must lie in (0, xi], got 1.5"),
+    # M ~ 1e300 shrinks the existence interval below the spacing of doubles
+    "solve-collapsed-interval": (lambda d: ["solve", _write_config(
+        d / "c.json", y_a=1e300, output_path=str(d / "o.csv"))],
+        "the solve interval [a, a + chi] is empty: chi = 0.0"),
+    "bounds-n-iter-negative": (lambda d: [
+        "bounds", _write_config(d / "c.json"), "--norm-f", "0", "--n-iter", "-5"],
+        "n_max must be nonnegative"),
 }
 
 
@@ -389,6 +397,37 @@ def test_malformed_input_exits_2_with_one_json_line(tmp_path, capsys, case):
     assert json.loads(line)["category"] == "validation"
     assert names in line
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ml", "--eta", "1", "--nu", "1", "--z", "-1e-3"], "--z"),
+    (["ml", "--family", "kilbas-saigo", "--eta", "0.5", "--m", "1",
+      "--l", "-2.5e-1", "--z", "0.5"], "--l"),
+    (["bounds", "c.json", "--z-a", "-2.5e-1"], "--z-a"),
+])
+def test_signed_exponent_flag_values(tmp_path, capsys, monkeypatch, argv, flag):
+    # "--z -1e-3" must read as "--z=-1e-3", not as two flags
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "c.json")
+    i = argv.index(flag)
+    assert main([*argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2:]]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["ml", "--eta", "64", "--nu", "1e100", "--z", "1"], "0"),
+    (["ml", "--family", "kilbas-saigo", "--eta", "64", "--m", "1e100",
+      "--l", "0", "--z", "1"], "1"),
+])
+def test_rising_factorial_past_the_extended_range_is_silent(capsys, argv, value):
+    # a rising factorial that overflows is a Gamma ratio that underflows
+    # to 0; RuntimeWarnings are errors under the test configuration
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == value + "\n"
+    assert captured.err == ""
 
 
 def test_ml_subcommand_prints_e(capsys):
@@ -427,12 +466,29 @@ def test_bounds_matches_solve_constants(tmp_path, capsys, rhs, eta, nu, n):
     out = capsys.readouterr().out
     values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
     cfg = load_config(cfg_path)
-    problem = CauchyProblem(psi=cfg.psi, params=cfg.params, a=cfg.a, xi=cfg.xi,
-                            y_a=cfg.y_a, rhs=cfg.rhs, k_box=cfg.k_box)
-    _, report = picard_solve(problem, n=n, max_iter=1)
+    _, report = picard_solve(cfg.problem, n=n, max_iter=1)
     assert float(values["chi"]) == report.chi_formula
     assert float(values["L_used"]) == report.L_used
     assert float(values["norm_f"]) == report.M_used
+
+
+def test_bounds_with_a_y_free_rhs_prints_the_l0_limits(tmp_path, capsys):
+    # L = 0: the a-priori bounds are M G(zeta) X^eta / G(eta+zeta), 0, ...
+    # and the dependence bound is 2 |dy_a| / G(zeta)
+    cfg_path = _write_config(tmp_path / "c.json", rhs="sin(t)")
+    assert main(["bounds", cfg_path, "--z-a", "1.5"]) == EXIT_OK
+    values = dict(line.split(" = ")
+                  for line in capsys.readouterr().out.splitlines())
+    assert float(values["L_used"]) == 0.0
+    problem = load_config(cfg_path).problem
+    expected = apriori_error_bound_sequence(
+        float(values["norm_f"]), 0.0, 20, problem.params, IDENT, 0.0,
+        float(values["chi"]))
+    assert expected[0] > 0.0 and not expected[1:].any()
+    assert [values[f"apriori[{m}]"] for m in range(21)] == [
+        f"{v:.17g}" for v in expected]
+    dependence = float(values["continuous_dependence(|dy_a|=0.5)"])
+    assert math.isclose(dependence, 2.0 * 0.5 / math.gamma(0.75), rel_tol=1e-14)
 
 
 def test_parse_check_pretty_prints(capsys):

@@ -239,3 +239,29 @@ def test_stiff_decay_increments_contract_below_tolerance():
     sol, rep = picard_solve(prob, n=1024, horizon=1.0)
     assert max(rep.weighted_deltas) > 1e3
     assert rep.converged and rep.iterations <= 160, rep.weighted_deltas[-5:]
+
+
+def test_collapsed_existence_interval_is_named():
+    # M ~ 8e299: the existence-interval formula underflows to chi = 0
+    problem = _problem(y_a=1e300)
+    with pytest.raises(DomainViolation, match="chi = 0.0 from M_used = .* "
+                                              "and k_box = 1.0"):
+        picard_solve(problem, n=16)
+    # an explicit horizon does not depend on the formula
+    _, report = picard_solve(problem, n=16, horizon=1.0, max_iter=2)
+    assert report.chi == 1.0 and report.chi_formula == 0.0
+
+
+def test_continuous_dependence_at_zero_lipschitz_constant():
+    p = OrderParams(0.5, 0.5)
+    got = continuous_dependence_bound(1.0, 1.5, 0.0, p, IDENT, 0.0, 1.0)
+    assert math.isclose(got, 2.0 * 0.5 / math.gamma(0.75), rel_tol=1e-14)
+    with pytest.raises(DomainViolation, match="L must be nonnegative"):
+        continuous_dependence_bound(1.0, 1.5, -1.0, p, IDENT, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("M, L", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+def test_apriori_rejects_negative_n_max(M, L):
+    with pytest.raises(DomainViolation, match="n_max must be nonnegative"):
+        apriori_error_bound_sequence(M, L, -2, OrderParams(0.6, 0.4),
+                                     IDENT, 0.0, 1.0)
