@@ -22,7 +22,7 @@ from . import linear_forms, picard, rhs_expr
 from .errors import (ConfigParseError, ExprDomainError, ExprSyntaxError,
                      OverflowGuard, PsiHilferError, ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
-from .psi_maps import make_psi, psi_from_config
+from .psi_maps import _KIND_ARITY, make_psi, psi_from_config
 from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
 
 EXIT_OK = 0
@@ -320,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--input", required=True)
     p_fr.add_argument("--output", required=True)
     p_fr.add_argument("--eta", type=float, required=True)
-    p_fr.add_argument("--psi", default="identity",
-                      choices=("identity", "power", "log", "exp"))
+    p_fr.add_argument("--psi", default="identity", choices=tuple(_KIND_ARITY))
     p_fr.add_argument("--rho", type=float, default=None)
     p_fr.add_argument("--n", type=int, default=1024)
     p_fr.set_defaults(func=_cmd_frint)

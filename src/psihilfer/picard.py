@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, GridTooCoarse, broken, raise_on
+from .errors import (DomainViolation, GridTooCoarse, OverflowGuard, broken,
+                     raise_on)
 from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
                        WeightedGridFunction, build_grid, hilfer_derivative)
 from .psi_maps import PsiMap, psi_increment
@@ -175,7 +176,8 @@ def estimate_constants(problem: CauchyProblem, n: int,
     L is ``L_override`` when given, else estimated on the box of radius
     k_box around the initial iterate at the n-panel scout nodes on
     [a, a + xi].  M is the weighted sup of f along the initial iterate
-    plus Lipschitz slack covering the whole box.
+    plus Lipschitz slack covering the whole box.  Raises
+    :class:`OverflowGuard` when the box is not finite.
     """
     raise_on(solve_violations(L_override=L_override), DomainViolation)
     p = problem.params
@@ -183,14 +185,18 @@ def estimate_constants(problem: CauchyProblem, n: int,
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
     xp = scout.x_pow(p.zeta - 1.0)
     xw = scout.x_pow(1.0 - p.zeta)
-    y0 = w0c * xp[1:]
+    with np.errstate(over="ignore"):  # an infinite box is rejected below
+        y0 = w0c * xp[1:]
+    box = (float(np.min(y0)) - problem.k_box, float(np.max(y0)) + problem.k_box)
+    if not math.isfinite(box[1] - box[0]):
+        raise OverflowGuard(
+            f"the trust box y0 +- k_box exceeds the floating-point range: "
+            f"y_a = {problem.y_a!r}, k_box = {problem.k_box!r}")
     if L_override is not None:
         l_used = float(L_override)
     else:
         l_used = lipschitz_estimate(problem.rhs,
-                                    (problem.a, problem.a + problem.xi),
-                                    (float(np.min(y0)) - problem.k_box,
-                                     float(np.max(y0)) + problem.k_box))
+                                    (problem.a, problem.a + problem.xi), box)
     phi = _weighted_composite(problem.rhs, scout, p.zeta,
                               np.full(n + 1, w0c), xp, xw)
     m0 = float(np.max(np.abs(phi)))
@@ -208,7 +214,9 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     (it must not exceed xi).  Non-convergence is reported through the
     returned :class:`SolveReport`, never raised: the last iterate is
     still useful.  An iterate drifting more than 10% outside the trust
-    box is recorded as a warning flag and iteration continues.
+    box is recorded as a warning flag and iteration continues.  An
+    iterate that leaves the floating-point range raises
+    :class:`OverflowGuard`.
     """
     raise_on(solve_violations(n=n), GridTooCoarse)
     raise_on(solve_violations(tol=tol, max_iter=max_iter, horizon=horizon,
@@ -234,21 +242,26 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     w = np.full(n + 1, w0c)
     if keep_history:
         report.history.append(w.copy())
-    for _ in range(max_iter):
-        w_new = picard_step(problem.rhs, op, w0c, w)
-        delta = float(np.max(np.abs(w_new - w)))
-        gap = np.abs(w_new - w0c)
-        report.weighted_deltas.append(delta)
-        report.y0_gap_ratios.append(float(np.max(gap[1:] / x_eta[1:])))
-        if float(np.max(gap)) > _BOX_SLACK * problem.k_box:
-            report.box_exit = True
-        w = w_new
-        report.iterations += 1
-        if keep_history:
-            report.history.append(w.copy())
-        if delta <= tol:
-            report.converged = True
-            break
+    with np.errstate(all="ignore"):  # a non-finite iterate raises below
+        for _ in range(max_iter):
+            w_new = picard_step(problem.rhs, op, w0c, w)
+            delta = float(np.max(np.abs(w_new - w)))
+            if not math.isfinite(delta):
+                raise OverflowGuard(
+                    f"iteration {report.iterations + 1} exceeds the "
+                    f"floating-point range: weighted increment {delta!r}")
+            gap = np.abs(w_new - w0c)
+            report.weighted_deltas.append(delta)
+            report.y0_gap_ratios.append(float(np.max(gap[1:] / x_eta[1:])))
+            if float(np.max(gap)) > _BOX_SLACK * problem.k_box:
+                report.box_exit = True
+            w = w_new
+            report.iterations += 1
+            if keep_history:
+                report.history.append(w.copy())
+            if delta <= tol:
+                report.converged = True
+                break
 
     solution = WeightedGridFunction(grid, p.zeta, w)
     report.apriori_bounds = list(apriori_error_bound_sequence(
@@ -269,24 +282,29 @@ def apriori_error_bound_sequence(M: float, L: float, n_max: int,
 
     evaluated as an explicit series tail, which is nonnegative and
     strictly decreasing by construction.  L = 0 yields the limiting
-    bounds M G(zeta) X^eta / G(eta+zeta), 0, 0, ...
+    bounds M G(zeta) X^eta / G(eta+zeta), 0, 0, ..., and M = 0 or X = 0
+    exact zeros.  Raises :class:`OverflowGuard` when M G(zeta) / L is
+    not finite.
     """
     raise_on(broken((M, lambda v: v >= 0, "M must be nonnegative"),
                     (L, lambda v: v >= 0, "L must be nonnegative"),
                     (n_max, lambda v: v >= 0, "n_max must be nonnegative")),
              DomainViolation)
     x = psi_increment(psi, a, a + chi)
-    if M == 0.0:
-        return np.zeros(n_max + 1)
+    scale = M * math.exp(log_gamma(params.zeta)) / L if L > 0 else 0.0
+    if not math.isfinite(scale):
+        raise OverflowGuard(f"M*Gamma(zeta)/L exceeds the floating-point "
+                            f"range: M = {M!r}, L = {L!r}")
+    out = np.zeros(n_max + 1)
+    if M == 0.0 or x == 0.0:
+        return out
     if L == 0.0:
-        out = np.zeros(n_max + 1)
         out[0] = (M * math.exp(log_gamma(params.zeta)
                                - log_gamma(params.eta + params.zeta))
                   * x ** params.eta)
         return out
-    z = L * x ** params.eta
-    tails = ml2_tail_sums(params.eta, params.zeta, z, n_max)
-    return (M * math.exp(log_gamma(params.zeta)) / L) * tails
+    tails = ml2_tail_sums(params.eta, params.zeta, L * x ** params.eta, n_max)
+    return scale * tails
 
 
 def continuous_dependence_bound(y_a: float, z_a: float, L: float,

@@ -10,22 +10,30 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gamma as _sp_gamma
 
-from .errors import ExprDomainError, ExprSyntaxError, UnknownIdentifier
+from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
+                     UnknownIdentifier)
 
-# name -> (arity, elementwise numpy function)
-_FUNCTIONS = {
-    "sin": (1, np.sin), "cos": (1, np.cos), "exp": (1, np.exp),
-    "ln": (1, np.log), "abs": (1, np.abs), "sqrt": (1, np.sqrt),
-    "gamma": (1, _sp_gamma), "pow": (2, np.power),
+# key -> (arity, elementwise numpy function, form); "neg" is unary minus
+_OPS = {
+    "+": (2, np.add, "infix"), "-": (2, np.subtract, "infix"),
+    "*": (2, np.multiply, "infix"), "/": (2, np.divide, "infix"),
+    "^": (2, np.power, "infix"), "neg": (1, np.negative, "prefix"),
+    "sin": (1, np.sin, "call"), "cos": (1, np.cos, "call"),
+    "exp": (1, np.exp, "call"), "ln": (1, np.log, "call"),
+    "abs": (1, np.abs, "call"), "sqrt": (1, np.sqrt, "call"),
+    "gamma": (1, _sp_gamma, "call"), "pow": (2, np.power, "call"),
 }
-# binary operator (or "neg", unary minus) -> elementwise numpy function
-_OPERATORS = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-    "^": np.power, "neg": np.negative,
+# form -> (line in RhsExpr.tree_lines, name in evaluation errors, text),
+# each formatted with the node's key and the text of its operands
+_FORMS = {
+    "infix": ("op {key}", "operator {key!r}", "({args[0]} {key} {args[1]})"),
+    "prefix": ("neg", "unary minus", "(-{args[0]})"),
+    "call": ("call {key}", "function {key!r}", "{key}({listed})"),
 }
 # the entries above that can map a non-finite operand to a finite value
 # (x/inf = 0, 1^nan = 1, exp(-inf) = 0); every other entry returns a
@@ -54,22 +62,10 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    child: object
-    offset: int = field(compare=False, default=0)
+class Op:
+    """An operation: the ``_OPS`` entry ``key`` applied to ``args``."""
 
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-    offset: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
+    key: str
     args: tuple
     offset: int = field(compare=False, default=0)
 
@@ -126,31 +122,23 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing token {val!r}", off)
         return node
 
-    def _expr(self):
-        node = self._term()
+    def _expr(self, levels=("+-", "*/")):
+        """A left-associative chain over the operators of ``levels[0]``
+        whose operands are chains over the tighter levels (expr, term)."""
+        operand = partial(self._expr, levels[1:]) if levels[1:] else self._factor
+        node = operand()
         while True:
             kind, val, off = self.toks.peek()
-            if kind == "op" and val in "+-":
-                self.toks.next()
-                node = Bin(val, node, self._term(), off)
-            else:
+            if kind != "op" or val not in levels[0]:
                 return node
-
-    def _term(self):
-        node = self._factor()
-        while True:
-            kind, val, off = self.toks.peek()
-            if kind == "op" and val in "*/":
-                self.toks.next()
-                node = Bin(val, node, self._factor(), off)
-            else:
-                return node
+            self.toks.next()
+            node = Op(val, (node, operand()), off)
 
     def _factor(self):
         kind, val, off = self.toks.peek()
         if kind == "op" and val == "-":
             self.toks.next()
-            return Neg(self._factor(), off)
+            return Op("neg", (self._factor(),), off)
         return self._power()
 
     def _power(self):
@@ -159,7 +147,7 @@ class _Parser:
         if kind == "op" and val == "^":
             self.toks.next()
             # right associative; the exponent may carry a unary minus
-            return Bin("^", node, self._factor(), off)
+            return Op("^", (node, self._factor()), off)
         return node
 
     def _atom(self):
@@ -171,7 +159,7 @@ class _Parser:
         if kind == "ident":
             nk, nv, _ = self.toks.peek()
             if nk == "op" and nv == "(":
-                if val not in _FUNCTIONS:
+                if val not in _OPS or _OPS[val][2] != "call":
                     raise UnknownIdentifier(f"unknown function {val!r}", off)
                 self.toks.next()
                 args = [self._expr()]
@@ -183,10 +171,10 @@ class _Parser:
                         break
                     else:
                         raise ExprSyntaxError("expected ',' or ')'", o2)
-                arity = _FUNCTIONS[val][0]
+                arity = _OPS[val][0]
                 if len(args) != arity:
                     raise ExprSyntaxError(f"{val} takes {arity} argument(s)", off)
-                return Call(val, tuple(args), off)
+                return Op(val, tuple(args), off)
             if val not in _VARIABLES:
                 raise UnknownIdentifier(f"unknown identifier {val!r}", off)
             return Var(val, off)
@@ -199,37 +187,24 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {val!r}", off)
 
 
+def _label(node, column: int, texts=()) -> str:
+    """Column 0 (tree line), 1 (error name) or 2 (text, given the text of
+    each operand) of an operator node's form."""
+    return _FORMS[_OPS[node.key][2]][column].format(
+        key=node.key, args=texts, listed=", ".join(texts))
+
+
 def _to_string(node) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return f"(-{_to_string(node.child)})"
-    if isinstance(node, Bin):
-        return f"({_to_string(node.left)} {node.op} {_to_string(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(_to_string(a) for a in node.args)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-# node type -> its line in RhsExpr.tree_lines and its name in evaluation
-# errors, each formatted with the node
-_TREE_LABELS = {Num: "num {0.value!r}", Var: "var {0.name}", Neg: "neg",
-                Bin: "op {0.op}", Call: "call {0.name}"}
-_ERROR_LABELS = {Neg: "unary minus", Bin: "operator {0.op!r}",
-                 Call: "function {0.name!r}"}
+    return _label(node, 2, list(map(_to_string, node.args)))
 
 
 def _children(node) -> tuple:
     """The operand nodes of ``node``, left to right (none for a leaf)."""
-    if isinstance(node, Bin):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.child,)
-    if isinstance(node, Call):
-        return node.args
-    return ()
+    return node.args if isinstance(node, Op) else ()
 
 
 def _uses_y(node) -> bool:
@@ -264,14 +239,12 @@ def _walk(node, t, y, record):
         return np.full(np.shape(t), node.value)
     if kind is Var:
         return t if node.name == "t" else y
-    key = node.name if kind is Call else node.op if kind is Bin else "neg"
-    children = _children(node)
-    args = [_walk(child, t, y, record) for child in children]
-    if key in _MASKING:
-        for child, arg in zip(children, args):
-            if type(child) not in (Num, Var) and not np.isfinite(arg).all():
+    args = [_walk(child, t, y, record) for child in node.args]
+    if node.key in _MASKING:
+        for child, arg in zip(node.args, args):
+            if type(child) is Op and not np.isfinite(arg).all():
                 _raise_at_first_non_finite(record)
-    out = (_FUNCTIONS[key][1] if kind is Call else _OPERATORS[key])(*args)
+    out = _OPS[node.key][1](*args)
     record.append((node, out))
     return out
 
@@ -282,14 +255,14 @@ def _raise_at_first_non_finite(record):
     return if there is none."""
     for node, value in record:
         if not np.isfinite(value).all():
-            raise ExprDomainError(
-                f"undefined value in {_ERROR_LABELS[type(node)].format(node)}",
-                node.offset
-            )
+            raise ExprDomainError(f"undefined value in {_label(node, 1)}",
+                                  node.offset)
 
 
 def _tree_lines(node, depth: int):
-    yield "  " * depth + _TREE_LABELS[type(node)].format(node)
+    label = (f"num {node.value!r}" if isinstance(node, Num) else
+             f"var {node.name}" if isinstance(node, Var) else _label(node, 0))
+    yield "  " * depth + label
     for child in _children(node):
         yield from _tree_lines(child, depth + 1)
 
@@ -360,11 +333,14 @@ def lipschitz_estimate(expr: RhsExpr, t_range, y_range) -> float:
     boundary), approximating the partial derivative by central
     differences.  The result is reproducible bit for bit; treat it as an
     estimate and override it when a certified constant is known.
+    Raises :class:`DomainViolation` unless both ranges are nonempty with
+    finite ends and a finite width.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     y_lo, y_hi = float(y_range[0]), float(y_range[1])
-    if t_hi < t_lo or y_hi < y_lo:
-        raise ValueError("ranges must be nonempty")
+    if not (0 <= t_hi - t_lo < np.inf and 0 <= y_hi - y_lo < np.inf):
+        raise DomainViolation(f"ranges must be nonempty and finite, got "
+                              f"t in {t_range!r} and y in {y_range!r}")
 
     ts = t_lo + _HALTON_T * (t_hi - t_lo)
     ys = y_lo + _HALTON_Y * (y_hi - y_lo)

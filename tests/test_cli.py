@@ -10,6 +10,7 @@ from psihilfer import (CauchyProblem, LinearProblem, OrderParams,
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                            LINEAR_KEYS, SOLVE_KEYS, load_config, main)
 from psihilfer.errors import ValidationError
+from psihilfer.psi_maps import _KIND_ARITY
 
 BASE_CONFIG = {
     "psi": {"kind": "identity", "domain": [0.0, 2.0]},
@@ -149,6 +150,15 @@ def test_solve_writes_csv_and_report(tmp_path):
     assert report["iterations"] >= 1
     assert set(report) >= {"chi", "iterations", "deltas", "apriori_bounds",
                            "residual", "M_used", "L_used"}
+
+
+def test_solve_reports_the_l_override(tmp_path):
+    out = tmp_path / "sol.csv"
+    cfg = _write_config(tmp_path / "c.json", output_path=str(out),
+                        horizon=1.0, n=64, L_override=2.0)
+    assert main(["solve", cfg]) == EXIT_OK
+    report = json.loads((tmp_path / "sol.csv.report.json").read_text())
+    assert report["L_used"] == 2.0
 
 
 def test_solve_determinism_across_runs_and_threads(tmp_path):
@@ -384,6 +394,9 @@ MALFORMED = {
     "bounds-n-iter-negative": (lambda d: [
         "bounds", _write_config(d / "c.json"), "--norm-f", "0", "--n-iter", "-5"],
         "n_max must be nonnegative"),
+    "frint-psi-unknown": (lambda d: [
+        *_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]), "--psi", "cosh"],
+        "argument --psi: invalid choice: 'cosh'"),
 }
 
 
@@ -569,6 +582,13 @@ def test_frint_rejects_malformed_row(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_frint_help_lists_every_psi_kind(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["frint", "--help"])
+    assert exc_info.value.code == 0
+    assert "--psi {" + ",".join(_KIND_ARITY) + "}" in capsys.readouterr().out
+
+
 def test_frint_power_requires_rho(tmp_path, capsys):
     src = tmp_path / "h.csv"
     src.write_text("0.0,0.0\n0.5,0.25\n1.0,1.0\n")
@@ -611,5 +631,35 @@ def test_overflowing_order_exits_3_with_one_json_line(tmp_path, capsys, case):
     assert captured.err == line + "\n"
     assert json.loads(line)["category"] == "numerical"
     assert "floating-point range" in line
+    assert captured.out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
+# finite inputs whose trust box, iterate or bound scale leaves the double
+# range (eta 0.6, nu 0.4, rhs -1*y, n 64 unless overridden)
+HUGE_INPUTS = {
+    "solve-y_a": ("solve", {"y_a": 1.7e308}, "trust box"),
+    "bounds-y_a": ("bounds", {"y_a": 1.7e308}, "trust box"),
+    "solve-k_box": ("solve", {"k_box": 1.7e308}, "trust box"),
+    "bounds-k_box": ("bounds", {"k_box": 1.7e308}, "trust box"),
+    "solve-y_a-nu-1": ("solve", {"y_a": 1.7e308, "nu": 1.0, "horizon": 1.0},
+                       "iteration 1 exceeds"),
+    "bounds-L_override": ("bounds", {"L_override": 1.7e308},
+                          "M*Gamma(zeta)/L exceeds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INPUTS))
+def test_huge_finite_input_exits_3_with_one_json_line(tmp_path, capsys, case):
+    command, overrides, names = HUGE_INPUTS[case]
+    settings = {"eta": 0.6, "nu": 0.4, "n": 64, **overrides}
+    cfg = _write_config(tmp_path / "c.json", output_path=str(tmp_path / "o.csv"),
+                        **settings)
+    assert main([command, cfg]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.err == line + "\n"
+    assert json.loads(line)["category"] == "numerical"
+    assert names in line and "floating-point range" in line
     assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()

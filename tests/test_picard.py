@@ -5,7 +5,7 @@ import pytest
 
 from psihilfer import (CauchyProblem, DomainViolation, FracIntegralOperator,
                        GridTooCoarse, LinearProblem, OrderParams,
-                       apriori_error_bound_sequence,
+                       apriori_error_bound_sequence, build_grid,
                        continuous_dependence_bound, existence_interval,
                        make_psi, parse, picard_solve, picard_step,
                        residual_check, solve_constant)
@@ -265,3 +265,23 @@ def test_apriori_rejects_negative_n_max(M, L):
     with pytest.raises(DomainViolation, match="n_max must be nonnegative"):
         apriori_error_bound_sequence(M, L, -2, OrderParams(0.6, 0.4),
                                      IDENT, 0.0, 1.0)
+
+
+def test_apriori_is_zero_on_a_collapsed_interval():
+    # X = 0: every bound is 0, also where M G(zeta) / G(eta+zeta) overflows
+    for L in (0.0, 10.0):
+        out = apriori_error_bound_sequence(1.4e308, L, 3, OrderParams(0.6, 0.4),
+                                           IDENT, 0.0, 0.0)
+        assert np.array_equal(out, np.zeros(4))
+
+
+def test_l_override_replaces_the_estimate():
+    prob = _problem(rhs="sin(t)*y^2")
+    l_est, m_est = estimate_constants(prob, 64)
+    l_over, m_over = estimate_constants(prob, 64, 2.0)
+    assert l_over == 2.0 and l_est != 2.0
+    scout = build_grid(IDENT, 0.0, 1.0, 64)
+    slack = (2.0 - l_est) * prob.k_box * np.max(scout.x_pow(1.0 - prob.params.zeta))
+    assert m_over - m_est == pytest.approx(slack, rel=1e-12)
+    _, report = picard_solve(prob, n=64, L_override=2.0, horizon=0.5)
+    assert report.L_used == 2.0

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psihilfer import (ExprDomainError, ExprSyntaxError, UnknownIdentifier,
-                       lipschitz_estimate, parse)
-from psihilfer.rhs_expr import (_ERROR_LABELS, _FUNCTIONS, _MASKING, _OPERATORS,
-                                Bin, Call, Num, Var, _children)
+from psihilfer import (DomainViolation, ExprDomainError, ExprSyntaxError,
+                       UnknownIdentifier, lipschitz_estimate, parse)
+from psihilfer.rhs_expr import _FORMS, _MASKING, _OPS, Num, Var, _children
 
 
 def test_eval_examples():
@@ -56,6 +55,36 @@ def test_syntax_error_carries_offset():
     with pytest.raises(ExprSyntaxError) as exc_info:
         parse("1 + * 2")
     assert exc_info.value.offset == 4
+
+
+@pytest.mark.parametrize("text,error,message,offset", [
+    ("y $", ExprSyntaxError, "unexpected character '$'", 2),
+    ("y y", ExprSyntaxError, "unexpected trailing token 'y'", 2),
+    ("y)", ExprSyntaxError, "unexpected trailing token ')'", 1),
+    ("(y", ExprSyntaxError, "expected ')'", 2),
+    ("sin(y", ExprSyntaxError, "expected ',' or ')'", 5),
+    ("pow(y 2)", ExprSyntaxError, "expected ',' or ')'", 6),
+    # unary minus is an operator, not a function that can be called
+    ("neg(y)", UnknownIdentifier, "unknown function 'neg'", 0),
+])
+def test_syntax_error_message_and_offset(text, error, message, offset):
+    with pytest.raises(ExprSyntaxError) as exc_info:
+        parse(text)
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == f"{message} (at offset {offset})"
+    assert exc_info.value.offset == offset
+
+
+def test_trailing_blanks_are_ignored():
+    assert parse("y  ").root == parse("y").root
+
+
+@pytest.mark.parametrize("text,y,name", [
+    ("ln(y)", 0.0, "function 'ln'"), ("-y", np.inf, "unary minus")])
+def test_domain_error_names_the_operation(text, y, name):
+    with pytest.raises(ExprDomainError) as exc_info:
+        parse(text).eval(0.5, y)
+    assert str(exc_info.value) == f"undefined value in {name} (node at offset 0)"
 
 
 def test_overflowing_literal_is_a_syntax_error():
@@ -139,8 +168,13 @@ _OPERANDS = (0.0, -0.0, 5e-324, 0.5, 1.0, -1.0, 2.0, -2.5, 1e308, -1e308,
 
 def _entries():
     """(key, arity, numpy function) of every operator and function."""
-    yield from ((k, 1 if k == "neg" else 2, fn) for k, fn in _OPERATORS.items())
-    yield from ((k, arity, fn) for k, (arity, fn) in _FUNCTIONS.items())
+    return ((key, arity, fn) for key, (arity, fn, _) in _OPS.items())
+
+
+def test_table_arities_match_the_functions():
+    for key, arity, fn in _entries():
+        assert fn.nin == arity, key
+    assert _MASKING <= _OPS.keys()
 
 
 def test_only_masking_entries_can_hide_a_non_finite_operand():
@@ -164,14 +198,13 @@ def _reference_eval(node, t, y):
         return np.full(np.shape(t), node.value)
     if isinstance(node, Var):
         return np.asarray(t if node.name == "t" else y, dtype=float)
-    fn = (_FUNCTIONS[node.name][1] if isinstance(node, Call)
-          else _OPERATORS[node.op if isinstance(node, Bin) else "neg"])
+    _, fn, form = _OPS[node.key]
     args = [_reference_eval(child, t, y) for child in _children(node)]
     with np.errstate(all="ignore"):
         out = fn(*args)
     if not np.all(np.isfinite(out)):
         raise ExprDomainError(
-            f"undefined value in {_ERROR_LABELS[type(node)].format(node)}",
+            f"undefined value in {_FORMS[form][1].format(key=node.key)}",
             node.offset
         )
     return out
@@ -192,14 +225,12 @@ _any_leaf = st.one_of(
 
 
 def _any_expr(children):
-    unary = st.builds(lambda c: f"(-{c})", children)
-    binary = st.builds(lambda a, op, b: f"({a} {op} {b})",
-                       children, st.sampled_from("+-*/^"), children)
-    call = st.one_of(*(
-        st.builds(lambda f, *args: f"{f}({', '.join(args)})",
-                  st.just(name), *([children] * arity))
-        for name, (arity, _) in _FUNCTIONS.items()))
-    return st.one_of(unary, binary, call)
+    # one strategy per table entry, written in the syntax of its form
+    text = {"infix": lambda key, a, b: f"({a} {key} {b})",
+            "prefix": lambda key, a: f"(-{a})",
+            "call": lambda key, *args: f"{key}({', '.join(args)})"}
+    return st.one_of(*(st.builds(text[form], st.just(key), *([children] * arity))
+                       for key, (arity, _, form) in _OPS.items()))
 
 
 @settings(max_examples=400, deadline=None)
@@ -283,3 +314,12 @@ def test_lipschitz_deterministic():
     a = lipschitz_estimate(expr, (0.0, 2.0), (-1.0, 1.0))
     b = lipschitz_estimate(expr, (0.0, 2.0), (-1.0, 1.0))
     assert a == b
+
+
+@pytest.mark.parametrize("t_range, y_range", [
+    ((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0)),
+    ((0.0, 1.0), (0.0, np.inf)), ((0.0, 1.0), (-1e308, 1e308)),
+    ((0.0, np.nan), (0.0, 1.0)), ((-np.inf, 0.0), (0.0, 1.0))])
+def test_lipschitz_rejects_an_empty_or_non_finite_range(t_range, y_range):
+    with pytest.raises(DomainViolation, match="ranges must be nonempty and finite"):
+        lipschitz_estimate(parse("-1*y"), t_range, y_range)
