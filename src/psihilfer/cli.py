@@ -263,6 +263,9 @@ def _cmd_bounds(args) -> int:
                                               problem.psi, problem.a, chi)
     out += [f"apriori[{mth}] = {_fmt(val)}" for mth, val in enumerate(seq)]
     z_a = problem.y_a + 0.1 if args.z_a is None else args.z_a
+    if z_a == problem.y_a and args.z_a is None:
+        raise PsiHilferError(f"the default --z-a = y_a + 0.1 rounds to y_a = "
+                             f"{_fmt(z_a)}; give --z-a")
     cd = picard.continuous_dependence_bound(problem.y_a, z_a, l_used, p,
                                             problem.psi, problem.a, chi)
     out.append(f"continuous_dependence(|dy_a|={_fmt(abs(z_a - problem.y_a))})"
@@ -345,12 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--n-iter", type=int, default=20)
     p_b.add_argument("--z-a", type=float, default=None,
                      help="perturbed initial datum for the dependence bound "
-                          "(default y_a + 0.1)")
+                          "(default y_a + 0.1, refused if it rounds to y_a)")
     p_b.set_defaults(func=_cmd_bounds)
 
-    p_pc = sub.add_parser("parse-check", help="validate an expression and "
-                                              "pretty-print its tree")
+    p_pc = sub.add_parser("parse-check", allow_abbrev=False,
+                          help="validate an expression and pretty-print its tree")
     p_pc.add_argument("expr")
+    # every word but -h and --help (unabbreviated) is the expression: "-y*2"
+    p_pc._negative_number_matcher = re.compile("^-")
     p_pc.set_defaults(func=_cmd_parse_check)
     return parser
 

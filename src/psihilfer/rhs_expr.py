@@ -1,8 +1,9 @@
 """Arithmetic expressions for user-supplied right-hand sides f(t, y).
 
-A small recursive-descent parser over the variables t and y with the
-usual precedence: ^ (right-associative) binds tighter than unary minus,
-which binds tighter than * and /, which bind tighter than + and -.
+A precedence-climbing parser over the variables t and y reads binding
+powers from the operator table: ^ (right-associative) binds tighter than
+unary minus, which binds tighter than * and /, which bind tighter than +
+and -.  Trees and parentheses nest at most ``MAX_DEPTH`` levels deep.
 Parsed expressions are immutable; evaluation is pure and reentrant.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.special import gamma as _sp_gamma
@@ -18,15 +18,20 @@ from scipy.special import gamma as _sp_gamma
 from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
                      UnknownIdentifier)
 
-# key -> (arity, elementwise numpy function, form); "neg" is unary minus
+# key -> (arity, elementwise numpy function, form, binding powers); "neg"
+# is unary minus.  An infix entry with powers (left, right) continues an
+# expression whose floor is at most left and reads its right operand with
+# floor right, so left == right makes it right-associative; unary minus
+# reads its operand with floor right.
 _OPS = {
-    "+": (2, np.add, "infix"), "-": (2, np.subtract, "infix"),
-    "*": (2, np.multiply, "infix"), "/": (2, np.divide, "infix"),
-    "^": (2, np.power, "infix"), "neg": (1, np.negative, "prefix"),
-    "sin": (1, np.sin, "call"), "cos": (1, np.cos, "call"),
-    "exp": (1, np.exp, "call"), "ln": (1, np.log, "call"),
-    "abs": (1, np.abs, "call"), "sqrt": (1, np.sqrt, "call"),
-    "gamma": (1, _sp_gamma, "call"), "pow": (2, np.power, "call"),
+    "+": (2, np.add, "infix", (1, 2)), "-": (2, np.subtract, "infix", (1, 2)),
+    "*": (2, np.multiply, "infix", (2, 3)), "/": (2, np.divide, "infix", (2, 3)),
+    "^": (2, np.power, "infix", (4, 4)),
+    "neg": (1, np.negative, "prefix", (None, 3)),
+    "sin": (1, np.sin, "call", None), "cos": (1, np.cos, "call", None),
+    "exp": (1, np.exp, "call", None), "ln": (1, np.log, "call", None),
+    "abs": (1, np.abs, "call", None), "sqrt": (1, np.sqrt, "call", None),
+    "gamma": (1, _sp_gamma, "call", None), "pow": (2, np.power, "call", None),
 }
 # form -> (line in RhsExpr.tree_lines, name in evaluation errors, text),
 # each formatted with the node's key and the text of its operands
@@ -45,8 +50,12 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
+# the most nodes on a path from the root to a leaf, and the most nested
+# subexpressions (parenthesised, operands and call arguments) in a text
+MAX_DEPTH = 200
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 @dataclass(frozen=True)
@@ -70,107 +79,79 @@ class Op:
     offset: int = field(compare=False, default=0)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                bad_at = len(text) - len(stripped)
-                raise ExprSyntaxError(
-                    f"unexpected character {text[bad_at]!r}", bad_at
-                )
-            pos = m.end()
-            for kind in ("num", "ident", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.items.append((kind, val, m.start(kind)))
-                    break
-        self.i = 0
-
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
 class _Parser:
-    """expr := term ((+|-) term)*
-    term := factor ((*|/) factor)*
-    factor := '-' factor | power
-    power := atom ['^' factor]
+    """expr := ('-' expr | atom) {infix expr}, by precedence climbing
     atom := number | t | y | fn '(' expr {',' expr} ')' | '(' expr ')'
     """
 
     def __init__(self, text: str):
-        self.toks = _Tokens(text)
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {m[kind]!r}",
+                                      m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
+        self.tokens.append(("eof", "", len(text)))
+        self.i = 0
+
+    def _next(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def parse(self):
-        node = self._expr()
-        kind, val, off = self.toks.peek()
+        root = self._expr(1, 1)
+        kind, val, off = self.tokens[self.i]
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected trailing token {val!r}", off)
-        return node
+        # a left-associative chain deepens the tree but not the parser, so
+        # the tree is measured too: without recursion, in prefix order
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_DEPTH:
+                raise ExprSyntaxError(_TOO_DEEP, node.offset)
+            stack.extend((child, depth + 1) for child in reversed(_children(node)))
+        return root
 
-    def _expr(self, levels=("+-", "*/")):
-        """A left-associative chain over the operators of ``levels[0]``
-        whose operands are chains over the tighter levels (expr, term)."""
-        operand = partial(self._expr, levels[1:]) if levels[1:] else self._factor
-        node = operand()
-        while True:
-            kind, val, off = self.toks.peek()
-            if kind != "op" or val not in levels[0]:
-                return node
-            self.toks.next()
-            node = Op(val, (node, operand()), off)
-
-    def _factor(self):
-        kind, val, off = self.toks.peek()
+    def _expr(self, floor, depth):
+        """The longest expression at the cursor whose infix operators all
+        have a left binding power of at least ``floor``; ``depth`` counts
+        the subexpressions it is nested in, itself included."""
+        kind, val, off = self.tokens[self.i]
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, off)
         if kind == "op" and val == "-":
-            self.toks.next()
-            return Op("neg", (self._factor(),), off)
-        return self._power()
+            self.i += 1
+            node = Op("neg", (self._expr(_OPS["neg"][3][1], depth + 1),), off)
+        else:
+            node = self._atom(depth)
+        while True:
+            kind, val, off = self.tokens[self.i]
+            left, right = (_OPS[val][3] if kind == "op" and val in _OPS
+                           else (0, None))
+            if left < floor:
+                return node
+            self.i += 1
+            node = Op(val, (node, self._expr(right, depth + 1)), off)
 
-    def _power(self):
-        node = self._atom()
-        kind, val, off = self.toks.peek()
-        if kind == "op" and val == "^":
-            self.toks.next()
-            # right associative; the exponent may carry a unary minus
-            return Op("^", (node, self._factor()), off)
-        return node
-
-    def _atom(self):
-        kind, val, off = self.toks.next()
+    def _atom(self, depth):
+        kind, val, off = self._next()
         if kind == "num":
             if float(val) == np.inf:
                 raise ExprSyntaxError(f"number {val} overflows", off)
             return Num(float(val), off)
         if kind == "ident":
-            nk, nv, _ = self.toks.peek()
+            nk, nv, _ = self.tokens[self.i]
             if nk == "op" and nv == "(":
                 if val not in _OPS or _OPS[val][2] != "call":
                     raise UnknownIdentifier(f"unknown function {val!r}", off)
-                self.toks.next()
-                args = [self._expr()]
-                while True:
-                    k2, v2, o2 = self.toks.next()
-                    if k2 == "op" and v2 == ",":
-                        args.append(self._expr())
-                    elif k2 == "op" and v2 == ")":
-                        break
-                    else:
-                        raise ExprSyntaxError("expected ',' or ')'", o2)
+                self.i += 1
+                args = [self._expr(1, depth + 1)]
+                while (tok := self._next())[1] == ",":
+                    args.append(self._expr(1, depth + 1))
+                if tok[1] != ")":
+                    raise ExprSyntaxError("expected ',' or ')'", tok[2])
                 arity = _OPS[val][0]
                 if len(args) != arity:
                     raise ExprSyntaxError(f"{val} takes {arity} argument(s)", off)
@@ -179,10 +160,10 @@ class _Parser:
                 raise UnknownIdentifier(f"unknown identifier {val!r}", off)
             return Var(val, off)
         if kind == "op" and val == "(":
-            node = self._expr()
-            k2, v2, o2 = self.toks.next()
-            if not (k2 == "op" and v2 == ")"):
-                raise ExprSyntaxError("expected ')'", o2)
+            node = self._expr(1, depth + 1)
+            _, val, off = self._next()
+            if val != ")":
+                raise ExprSyntaxError("expected ')'", off)
             return node
         raise ExprSyntaxError(f"unexpected token {val!r}", off)
 

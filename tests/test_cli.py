@@ -372,6 +372,23 @@ MALFORMED = {
     "rhs-overflow": (lambda d: ["solve", _write_config(d / "c.json",
                                                        rhs="1e400*y")],
                      "rhs: number 1e400 overflows (at offset 0)"),
+    # nesting that recursed past the interpreter's limit in the parser
+    # (parentheses) or in the evaluator (a long sum, unary minuses)
+    # a word that starts with "-" is the expression, not an abbreviated flag
+    "parse-check-double-dash-h": (lambda d: ["parse-check", "--h"],
+                                  "unknown identifier 'h' (at offset 2)"),
+    "parse-check-deep-parentheses": (lambda d: [
+        "parse-check", "(" * 250 + "y" + ")" * 250],
+        "expression nests deeper than 200 levels (at offset 200)"),
+    "rhs-deep-sum": (lambda d: ["solve", _write_config(
+        d / "c.json", rhs="-0.001*y" + "+0*y" * 600)],
+        "rhs: expression nests deeper than 200 levels (at offset 1604)"),
+    "rhs-deep-unary-minus": (lambda d: ["solve", _write_config(
+        d / "c.json", rhs="-" * 600 + "y")],
+        "rhs: expression nests deeper than 200 levels (at offset 200)"),
+    # y_a + 0.1 == y_a: the default perturbation would bound nothing
+    "bounds-default-z-a-rounds-to-y_a": (lambda d: ["bounds", _write_config(
+        d / "c.json", y_a=1e17, k_box=1e18, n=64)], "give --z-a"),
     "config-y_a-nan": (lambda d: ["solve", _write_config(d / "c.json",
                                                          y_a=math.nan)],
                        "y_a must be finite"),
@@ -409,6 +426,7 @@ def test_malformed_input_exits_2_with_one_json_line(tmp_path, capsys, case):
     assert captured.err == line + "\n"
     assert json.loads(line)["category"] == "validation"
     assert names in line
+    assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -485,6 +503,14 @@ def test_bounds_matches_solve_constants(tmp_path, capsys, rhs, eta, nu, n):
     assert float(values["norm_f"]) == report.M_used
 
 
+def test_bounds_uses_an_explicit_z_a_as_given(tmp_path, capsys):
+    # only the default y_a + 0.1 is refused when it rounds to y_a
+    cfg_path = _write_config(tmp_path / "c.json", y_a=1e17, k_box=1e18, n=64)
+    assert main(["bounds", cfg_path, "--z-a", "1e17"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "continuous_dependence(|dy_a|=0) = 0"
+
+
 def test_bounds_with_a_y_free_rhs_prints_the_l0_limits(tmp_path, capsys):
     # L = 0: the a-priori bounds are M G(zeta) X^eta / G(eta+zeta), 0, ...
     # and the dependence bound is 2 |dy_a| / G(zeta)
@@ -517,6 +543,16 @@ def test_parse_check_pretty_prints(capsys):
         "    var t",
         "    num 2.0",
     ]
+
+
+@pytest.mark.parametrize("expr, printed", [
+    ("-y*2", ["((-y) * 2.0)", "op *", "  neg", "    var y", "  num 2.0"]),
+    ("-1*y", ["((-1.0) * y)", "op *", "  neg", "    num 1.0", "  var y"]),
+])
+def test_parse_check_takes_an_expression_with_a_leading_minus(
+        capsys, expr, printed):
+    assert main(["parse-check", expr]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 def test_parse_check_syntax_error_exit_code(capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from psihilfer import (DomainViolation, ExprDomainError, ExprSyntaxError,
                        UnknownIdentifier, lipschitz_estimate, parse)
-from psihilfer.rhs_expr import _FORMS, _MASKING, _OPS, Num, Var, _children
+from psihilfer.rhs_expr import (_FORMS, _MASKING, _OPS, MAX_DEPTH, Num, Var,
+                                _children)
 
 
 def test_eval_examples():
@@ -24,6 +25,64 @@ def test_precedence():
     assert parse("-2^2").eval(0, 0) == -4.0
     assert parse("2*3+4").eval(0, 0) == 10.0
     assert parse("2^-1").eval(0, 0) == 0.5
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("-y^2", "(-(y ^ 2.0))"),
+    ("2^-y^2", "(2.0 ^ (-(y ^ 2.0)))"),
+    ("y^t^2", "(y ^ (t ^ 2.0))"),
+    ("y-t-2", "((y - t) - 2.0)"),
+    ("y/t/2", "((y / t) / 2.0)"),
+    ("-y*2", "((-y) * 2.0)"),
+    ("y/-t", "(y / (-t))"),
+    ("y-t*2^-y", "(y - (t * (2.0 ^ (-y))))"),
+    ("t^-2*y", "((t ^ (-2.0)) * y)"),
+    ("--y", "(-(-y))"),
+    ("pow(y,2)^-t", "(pow(y, 2.0) ^ (-t))"),
+])
+def test_precedence_and_associativity_of_the_tree(text, printed):
+    assert parse(text).to_string() == printed
+
+
+def test_binding_powers_live_in_the_table():
+    powered = {key for key, row in _OPS.items() if row[3] is not None}
+    assert powered == {"+", "-", "*", "/", "^", "neg"}
+    assert {key for key, row in _OPS.items() if row[2] == "infix"} == (
+        powered - {"neg"})
+    # equal left and right powers: the right operand may hold the same
+    # operator unparenthesised
+    assert {key for key in powered - {"neg"}
+            if _OPS[key][3][0] == _OPS[key][3][1]} == {"^"}
+
+
+# text of a tree exactly k nodes deep, and the offset at which one level
+# deeper fails
+_NESTINGS = {
+    "unary minus": (lambda k: "-" * (k - 1) + "y", lambda k: k - 1),
+    "sum": (lambda k: "+".join(["y"] * k), lambda k: 0),
+    "power": (lambda k: "y^" * (k - 1) + "y", lambda k: 2 * (k - 1)),
+    "call": (lambda k: "sin(" * (k - 1) + "y" + ")" * (k - 1),
+             lambda k: 4 * (k - 1)),
+    # parentheses add no node but count as a level
+    "parentheses": (lambda k: "(" * (k - 1) + "y" + ")" * (k - 1),
+                    lambda k: k - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_nesting_bound(shape):
+    text, offset = _NESTINGS[shape]
+    expr = parse(text(MAX_DEPTH))
+    assert np.isfinite(expr.eval_many(np.full(3, 0.5), np.full(3, 0.5))).all()
+    assert math.isfinite(expr.eval(0.5, 0.5))
+    assert expr.uses_y()
+    assert expr.to_string()
+    assert len(expr.tree_lines()) >= 1
+    with pytest.raises(ExprSyntaxError) as exc_info:
+        parse(text(MAX_DEPTH + 1))
+    assert str(exc_info.value) == (
+        f"expression nests deeper than {MAX_DEPTH} levels "
+        f"(at offset {offset(MAX_DEPTH + 1)})")
 
 
 def test_functions():
@@ -168,7 +227,7 @@ _OPERANDS = (0.0, -0.0, 5e-324, 0.5, 1.0, -1.0, 2.0, -2.5, 1e308, -1e308,
 
 def _entries():
     """(key, arity, numpy function) of every operator and function."""
-    return ((key, arity, fn) for key, (arity, fn, _) in _OPS.items())
+    return ((key, arity, fn) for key, (arity, fn, _, _) in _OPS.items())
 
 
 def test_table_arities_match_the_functions():
@@ -198,7 +257,7 @@ def _reference_eval(node, t, y):
         return np.full(np.shape(t), node.value)
     if isinstance(node, Var):
         return np.asarray(t if node.name == "t" else y, dtype=float)
-    _, fn, form = _OPS[node.key]
+    _, fn, form, _ = _OPS[node.key]
     args = [_reference_eval(child, t, y) for child in _children(node)]
     with np.errstate(all="ignore"):
         out = fn(*args)
@@ -230,7 +289,7 @@ def _any_expr(children):
             "prefix": lambda key, a: f"(-{a})",
             "call": lambda key, *args: f"{key}({', '.join(args)})"}
     return st.one_of(*(st.builds(text[form], st.just(key), *([children] * arity))
-                       for key, (arity, _, form) in _OPS.items()))
+                       for key, (arity, _, form, _) in _OPS.items()))
 
 
 @settings(max_examples=400, deadline=None)
