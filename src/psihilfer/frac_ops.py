@@ -36,7 +36,8 @@ import numpy as np
 from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
                      OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
-from .special_fn import _check_params, log_gamma, mittag_leffler2
+from .special_fn import (DEFAULT_SERIES_PARAMS, _check_params, _ml_terms,
+                         _sum_to_tolerance, log_gamma, mittag_leffler2)
 
 _ZETA_MATCH_TOL = 1e-12
 
@@ -144,35 +145,54 @@ class WeightedGridFunction:
 
     def to_plain(self) -> np.ndarray:
         """Recover y(t_i).  The t = a entry is NaN when zeta < 1."""
-        if self.zeta == 1.0:
-            return self.w.copy()
-        # X^(zeta-1) is inf at t = a for zeta < 1: weight nodes 1..n only
-        y = np.empty_like(self.w)
-        y[1:] = self.w[1:] * self.grid.x_pow(self.zeta - 1.0)[1:]
-        y[0] = np.nan if self.zeta < 1.0 else 0.0
+        with np.errstate(invalid="ignore"):  # 0 * inf at t = a for zeta < 1
+            y = self.w * self.grid.x_pow(self.zeta - 1.0)
+        if self.zeta != 1.0:
+            y[0] = np.nan if self.zeta < 1.0 else 0.0
         return y
 
 
-def _abel_kernels(eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _abel_kernels(eta: float, n: int, z=None) -> tuple[np.ndarray, np.ndarray]:
     """Distance-indexed weights of the linear-interpolant product rule.
 
     For a panel ending d steps before the target, cl(d) and cr(d) weight
-    the left and right panel values; both are nonnegative.
+    the left and right panel values of r^(eta-1) (r in steps); both are
+    nonnegative.  Given z[d] = lam X_d^eta, they are exact for the resolvent
+    Gamma(eta) r^(eta-1) E[eta,eta](lam r^eta) (Garrappa & Popolizio 2011).
     """
-    d = np.arange(1, n + 1, dtype=float)
-    dm = d - 1.0
-    p0 = (d ** eta - dm ** eta) / eta
-    p1 = d * p0 - (d ** (eta + 1.0) - dm ** (eta + 1.0)) / (eta + 1.0)
-    cl = p0 - p1
-    cr = p1
-    return np.maximum(cl, 0.0), np.maximum(cr, 0.0)
+    d = np.arange(n + 1, dtype=float)
+    e0 = e1 = 1.0
+    if z is not None:
+        # the resolvent's moments over [0, d] are Gamma(eta) d^eta E[eta,eta+1](z)
+        # and Gamma(eta) d^(eta+1) (E[eta,eta+1] - E[eta,eta+2])(z); t_k / (k eta
+        # + eta + 1) is a term of E[eta,eta+2], so one term stream gives both
+        terms = (np.outer((1.0, 1.0 / (k * eta + eta + 1.0)), t) for k, t in enumerate(
+            _ml_terms(eta, eta + 1.0, z, DEFAULT_SERIES_PARAMS.max_terms)))
+        e = (math.exp(log_gamma(eta + 1.0))
+             * _sum_to_tolerance(terms, DEFAULT_SERIES_PARAMS)[0])
+        e0, e1 = e[0], (eta + 1.0) / eta * (e[0] - e[1])
+    p0 = np.diff(d ** eta * e0) / eta
+    p1 = d[1:] * p0 - np.diff(d ** (eta + 1.0) * e1) / (eta + 1.0)
+    return np.maximum(p0 - p1, 0.0), np.maximum(p1, 0.0)
 
 
-def _abel_product_rule(cl: np.ndarray, cr: np.ndarray, scale: float):
+def _abel_product_rule(grid: PsiGrid, eta: float, z=None):
     """Return g -> product-rule sums at every node by one FFT convolution:
-    out[j] = scale * sum over the panels left of node j of
-    cl(d) * g(left end) + cr(d) * g(right end), and out[0] = 0."""
-    n = len(cl)
+    out[j] = h^eta / Gamma(eta) * sum over the panels left of node j of
+    cl(d) * g(left end) + cr(d) * g(right end), with the weights of
+    _abel_kernels(eta, n, z), and out[0] = 0.  Raises OverflowGuard when
+    the weights or the scale leave the double range."""
+    n = grid.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        cl, cr = _abel_kernels(eta, n, z)
+    try:
+        scale = grid.h ** eta * math.exp(-log_gamma(eta))
+    except OverflowError:  # h ** eta beyond the double range
+        scale = math.inf
+    if not (math.isfinite(scale) and np.isfinite(cl).all()
+            and np.isfinite(cr).all()):
+        raise OverflowGuard(f"the order-{eta!r} weights on this grid "
+                            "exceed the floating-point range")
     # each node's weights from the panels on its two sides merge into one
     # kernel; node 0 ends no panel, so the right-end share that the
     # merged kernel gives it is subtracted after the convolution
@@ -211,17 +231,7 @@ class FracIntegralOperator:
         self.grid = grid
         self.eta = eta = float(eta)
         self.zeta = z = float(zeta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cl, cr = _abel_kernels(eta, grid.n)
-        try:
-            scale = grid.h ** eta * math.exp(-log_gamma(eta))
-        except OverflowError:  # h ** eta beyond the double range
-            scale = math.inf
-        if not (math.isfinite(scale) and np.isfinite(cl).all()
-                and np.isfinite(cr).all()):
-            raise OverflowGuard(f"the order-{eta!r} weights on this grid "
-                                "exceed the floating-point range")
-        self._conv = _abel_product_rule(cl, cr, scale)
+        self._conv = _abel_product_rule(grid, eta)
         self.to_plain = grid.x_pow(z - 1.0)
         self.to_plain[0] = 0.0
         self.to_weighted = grid.x_pow(1.0 - z)
@@ -318,9 +328,7 @@ def hilfer_derivative(params: OrderParams, y: WeightedGridFunction) -> np.ndarra
         v = y.w.copy()  # beta_in = 0 forces zeta = 1, so w is already plain
     else:
         op_in = FracIntegralOperator(grid, beta_in, zeta=params.zeta)
-        v_weighted = op_in.apply_weighted(y.w)
-        v = np.empty(n + 1)
-        v[1:] = v_weighted[1:] * op_in.to_plain[1:]
+        v = op_in.apply_weighted(y.w) * op_in.to_plain
         v[0] = y.w[0] * math.exp(log_gamma(params.zeta)
                                  - log_gamma(beta_in + params.zeta))
 

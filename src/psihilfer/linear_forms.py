@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (DomainViolation, GridTooCoarse, ParamViolation, broken,
                      raise_on)
-from .frac_ops import (OrderParams, WeightedGridFunction, _abel_kernels,
-                       _abel_product_rule, build_grid)
+from .frac_ops import (OrderParams, WeightedGridFunction, _abel_product_rule,
+                       build_grid)
 from .psi_maps import PsiMap
 from .rhs_expr import RhsExpr
 from .special_fn import ks_array, log_gamma, ml2_array
@@ -93,28 +93,20 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
     """Evaluate the constant-coefficient representation on an n-panel grid.
 
     The homogeneous part is a pointwise series evaluation.  The forcing
-    convolution reuses the linear-interpolant product weights for the
-    power kernel and samples the smooth series factor at panel
-    midpoints, where it is continuous all the way to zero separation
-    (value 1/Gamma(eta)); it runs as one FFT product rule, like the
-    fractional integral.
+    convolution is the fractional integral's FFT product rule with the
+    resolvent's exact moments: exact for f affine in Psi, second order
+    for smooth f.
     """
     if problem.mu is not None:
         raise ParamViolation("use solve_variable when mu is present")
     raise_on(solve_violations(n), GridTooCoarse)
     p = problem.params
     grid = build_grid(problem.psi, problem.a, problem.b, n)
-    x = grid.x
-    w = problem.y_a * ml2_array(p.eta, p.zeta, problem.lam * x ** p.eta)
-
+    z = problem.lam * grid.x ** p.eta
+    w = problem.y_a * ml2_array(p.eta, p.zeta, z)
     if problem.forcing is not None:
         fv = problem.forcing.eval_many(grid.nodes, np.zeros(n + 1))
-        d = np.arange(1, n + 1, dtype=float)
-        mid = problem.lam * ((d - 0.5) * grid.h) ** p.eta
-        e_mid = ml2_array(p.eta, p.eta, mid)
-        cl, cr = _abel_kernels(p.eta, n)
-        conv = _abel_product_rule(cl * e_mid, cr * e_mid, grid.h ** p.eta)(fv)
-        w = w + grid.x_pow(1.0 - p.zeta) * conv
+        w = w + grid.x_pow(1.0 - p.zeta) * _abel_product_rule(grid, p.eta, z)(fv)
     return WeightedGridFunction(grid, p.zeta, w)
 
 

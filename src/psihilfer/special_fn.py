@@ -196,7 +196,7 @@ def _sum_to_tolerance(terms, policy: MLSeriesParams):
     for k, term in zip(range(1, policy.max_terms + 1), terms):
         total += term
         if isinstance(term, np.ndarray):
-            small = bool(np.all(np.abs(term) <= policy.rel_tol * np.abs(total)))
+            small = bool((np.abs(term) <= policy.rel_tol * np.abs(total)).all())
         else:
             small = abs(float(term)) <= policy.rel_tol * abs(float(total))
         consec = consec + 1 if small else 0

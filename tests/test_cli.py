@@ -682,6 +682,10 @@ HUGE_INPUTS = {
                        "iteration 1 exceeds"),
     "bounds-L_override": ("bounds", {"L_override": 1.7e308},
                           "M*Gamma(zeta)/L exceeds"),
+    # the solution stays below 1e306, but the resolvent moments of the
+    # forcing weights, up to n^(eta+1) E[eta,eta+1](lambda), do not
+    "linear-forcing-lambda": ("linear", {"lambda": 51.0, "forcing": "1+t",
+                                         "n": 1024}, "weights on this grid"),
 }
 
 

@@ -75,16 +75,54 @@ def test_forcing_matches_direct_product_sum(eta, nu, lam, n):
     sol = solve_constant(LinearProblem(psi=IDENT, params=params, a=0.0, b=1.0,
                                        y_a=1.0, lam=lam, forcing=forcing), n)
     grid = sol.grid
-    d = np.arange(1, n + 1, dtype=float)
-    e_mid = ml2_array(eta, eta, lam * ((d - 0.5) * grid.h) ** eta)
-    cl, cr = _abel_kernels(eta, n)
+    cl, cr = _abel_kernels(eta, n, lam * grid.x ** eta)
     fv = forcing.eval_many(grid.nodes, np.zeros(n + 1))
     direct = np.zeros(n + 1)
-    direct[1:] = (np.convolve(fv, cl * e_mid)[:n]
-                  + np.convolve(fv[1:], cr * e_mid)[:n])
+    direct[1:] = np.convolve(fv, cl)[:n] + np.convolve(fv[1:], cr)[:n]
     ref = (ml2_array(eta, params.zeta, lam * grid.x ** eta)
-           + grid.x_pow(1.0 - params.zeta) * grid.h ** eta * direct)
+           + grid.x_pow(1.0 - params.zeta) * grid.h ** eta / math.gamma(eta)
+           * direct)
     assert np.max(np.abs(sol.w - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+ORDERS = {0.3: 1.0, 0.5: 0.5, 0.6: 0.4, 0.9: 0.0}
+
+
+@pytest.mark.parametrize("eta,lam", [(0.3, lam) for lam in (-1.0, 0.0, 0.5, 1.0)]
+                         + [(eta, lam) for eta in (0.5, 0.6)
+                            for lam in (-2.0, -1.0, 0.0, 0.5, 1.0)]
+                         + [(0.9, lam) for lam in (-4.0, -1.0, 0.0, 1.0)])
+def test_affine_forcing_is_integrated_exactly(eta, lam):
+    # the product rule integrates the resolvent kernel exactly against
+    # linear pieces, so f = t^deg (deg 0, 1) leaves only rounding:
+    # y = X^(eta+deg) E[eta, eta+1+deg](lam X^eta) for y_a = 0, checked
+    # at the 65 nodes the two grids share
+    mpmath = pytest.importorskip("mpmath")
+    from test_special_fn import _mp_mittag_leffler
+    params = OrderParams(eta, ORDERS[eta])
+    x = np.arange(65) / 64.0
+    for deg, text in ((0, "1"), (1, "t")):
+        ref = np.array([xi ** (1.0 - params.zeta + eta + deg) * _mp_mittag_leffler(
+            mpmath, eta, eta + 1.0 + deg, lam * xi ** eta) for xi in x])
+        for n in (64, 1024):
+            sol = solve_constant(LinearProblem(
+                psi=IDENT, params=params, a=0.0, b=1.0, y_a=0.0, lam=lam,
+                forcing=parse(text)), n)
+            err = np.max(np.abs(sol.w[::n // 64] - ref))
+            assert err <= 1e-12, (text, n, err)
+
+
+@pytest.mark.parametrize("eta,nu,lam", [(0.3, 1.0, -1.0), (0.5, 0.5, -1.0),
+                                        (0.6, 0.4, -2.0), (0.9, 0.0, -3.0)])
+def test_smooth_forcing_converges_at_second_order(eta, nu, lam):
+    def solve(n):
+        return solve_constant(LinearProblem(
+            psi=IDENT, params=OrderParams(eta, nu), a=0.0, b=1.0, y_a=0.0,
+            lam=lam, forcing=parse("sin(t)")), n).w
+    fine = solve(16384)
+    errs = [np.max(np.abs(solve(n) - fine[::16384 // n])) for n in (256, 512, 1024)]
+    rates = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(rates >= 1.9), rates
 
 
 def test_constant_coefficient_residual():
