@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
                      OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
-from .special_fn import (DEFAULT_SERIES_PARAMS, _check_params, _ml_terms,
-                         _sum_to_tolerance, log_gamma, mittag_leffler2)
+from .special_fn import (_check_params, _ml_terms, _sum_to_tolerance, log_gamma,
+                         mittag_leffler2)
 
 _ZETA_MATCH_TOL = 1e-12
 
@@ -166,10 +166,10 @@ def _abel_kernels(eta: float, n: int, z=None) -> tuple[np.ndarray, np.ndarray]:
         # the resolvent's moments over [0, d] are Gamma(eta) d^eta E[eta,eta+1](z)
         # and Gamma(eta) d^(eta+1) (E[eta,eta+1] - E[eta,eta+2])(z); t_k / (k eta
         # + eta + 1) is a term of E[eta,eta+2], so one term stream gives both
-        terms = (np.outer((1.0, 1.0 / (k * eta + eta + 1.0)), t) for k, t in enumerate(
-            _ml_terms(eta, eta + 1.0, z, DEFAULT_SERIES_PARAMS.max_terms)))
-        e = (math.exp(log_gamma(eta + 1.0))
-             * _sum_to_tolerance(terms, DEFAULT_SERIES_PARAMS)[0])
+        rows = ((np.array([[1.0], [1.0 / (k * eta + eta + 1.0)]]), t, size)
+                for k, (t, size) in enumerate(_ml_terms(eta, eta + 1.0, z)))
+        terms = ((f * t, f * size) for f, t, size in rows)
+        e = math.exp(log_gamma(eta + 1.0)) * _sum_to_tolerance(terms)[0]
         e0, e1 = e[0], (eta + 1.0) / eta * (e[0] - e[1])
     p0 = np.diff(d ** eta * e0) / eta
     p1 = d[1:] * p0 - np.diff(d ** (eta + 1.0) * e1) / (eta + 1.0)

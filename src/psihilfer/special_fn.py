@@ -22,6 +22,7 @@ functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,11 +48,13 @@ class MLSeriesParams:
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:
             raise ParamViolation("rel_tol must be finite and positive")
-        if self.max_terms <= 0:
-            raise ParamViolation("max_terms must be positive")
+        n = self.max_terms
+        if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+            raise ParamViolation(f"max_terms must be an integer >= 1, got {n!r}")
 
 
 DEFAULT_SERIES_PARAMS = MLSeriesParams()
+_TAIL_PARAMS = MLSeriesParams(rel_tol=float(np.finfo(_LD).eps))
 
 
 @dataclass(frozen=True)
@@ -135,19 +138,20 @@ def _gamma_ratios(x: np.ndarray, step: float) -> np.ndarray:
 
 
 def _terms(first: float, z, gamma_arg, step: float, count: int):
-    """Yield t_0 = first and t_k = t_{k-1} * z * Gamma(x_k) / Gamma(x_k + step)
-    for k = 1..count, where x_k = gamma_arg(k - 1) (vectorised in k).
+    """Yield (t_k, |t_k|) for t_0 = first and t_k = t_{k-1} * z * Gamma(x_k)
+    / Gamma(x_k + step), k = 1..count, where x_k = gamma_arg(k - 1).
 
     An array z is summed in double precision with each ratio rounded
-    once; any other z runs in extended precision.  Ratios are computed
-    in blocks of doubling size, so a short series pays for few Gamma
-    evaluations and a long one for few blocks.
+    once, and |t_k| is an array; any other z runs in extended precision
+    and |t_k| is a float.  Ratios are computed in blocks of doubling
+    size, so a short series pays for few Gamma evaluations and a long
+    one for few blocks.
     """
     vector = isinstance(z, np.ndarray)
     term = np.full(z.shape, first) if vector else _LD(first)
     zmax = float(np.abs(z).max(initial=0.0)) if vector else 0.0
     mag = abs(first)
-    yield term
+    yield term, np.abs(term) if vector else mag
     k, block = 1, _FIRST_BLOCK
     while k <= count:
         stop = min(k - 1 + block, count)
@@ -165,41 +169,42 @@ def _terms(first: float, z, gamma_arg, step: float, count: int):
                     term = term * z * r
             else:
                 term = term * z * r
-            mag = float(np.abs(term).max(initial=0.0)) if vector else abs(float(term))
+            size = np.abs(term) if vector else abs(float(term))
+            mag = float(size.max(initial=0.0)) if vector else size
             if mag != 0.0 and not math.log(mag) <= _LOG_HUGE:
                 raise OverflowGuard(
                     f"series term at k={k} exceeds the floating-point range")
-            yield term
+            yield term, size
             k += 1
         block *= 2
 
 
-def _ml_terms(eta: float, nu: float, z, count: int):
+def _ml_terms(eta: float, nu: float, z, count: int = DEFAULT_SERIES_PARAMS.max_terms):
     """Terms z^k / Gamma(k*eta + nu) of E[eta, nu](z)."""
     return _terms(math.exp(-log_gamma(nu)), z, lambda j: j * eta + nu, eta, count)
 
 
-def _ks_terms(eta: float, m: float, l: float, z, count: int):
+def _ks_terms(eta: float, m: float, l: float, z,
+              count: int = DEFAULT_SERIES_PARAMS.max_terms):
     """Terms c_k z^k of E[eta, m, l](z)."""
     return _terms(1.0, z, lambda j: eta * (j * m + l) + 1.0, eta, count)
 
 
-def _sum_to_tolerance(terms, policy: MLSeriesParams):
-    """Add terms until three in a row are below rel_tol * |sum| at every
-    entry, or until max_terms were added.
+def _sum_to_tolerance(terms, policy: MLSeriesParams = DEFAULT_SERIES_PARAMS):
+    """Add the (t_k, |t_k|) pairs of a term stream until three sizes in a
+    row are below rel_tol * |sum| at every entry, or until max_terms
+    terms were added.
 
     Three, because alternating series terms are not monotone and a
     single small term can be a transient.  Returns the sum, the number
     of terms added and whether the tolerance (not max_terms) stopped it.
     """
     total, consec = 0.0, 0
-    for k, term in zip(range(1, policy.max_terms + 1), terms):
+    for k, (term, size) in zip(range(1, policy.max_terms + 1), terms):
         total += term
-        if isinstance(term, np.ndarray):
-            small = bool((np.abs(term) <= policy.rel_tol * np.abs(total)).all())
-        else:
-            small = abs(float(term)) <= policy.rel_tol * abs(float(total))
-        consec = consec + 1 if small else 0
+        small = size <= policy.rel_tol * abs(total)
+        # a scalar sum reads its one comparison: numpy's .all() costs ~2 us a term
+        consec = consec + 1 if (small.all() if small.ndim else small) else 0
         if consec >= 3:
             return total, k, True
     return total, policy.max_terms, False
@@ -209,7 +214,7 @@ def _series_result(terms, policy: MLSeriesParams) -> SeriesResult:
     """Sum a scalar term stream; the first omitted term is the
     truncation estimate."""
     total, used, stopped = _sum_to_tolerance(terms, policy)
-    omitted = abs(float(next(terms)))
+    omitted = next(terms)[1]
     value = float(total)
     converged = stopped and omitted <= policy.rel_tol * max(1.0, abs(value))
     return SeriesResult(value, used, omitted, converged)
@@ -245,37 +250,36 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
 def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
     """First ``count`` + 1 Kilbas-Saigo coefficients c_0 .. c_count."""
     _check_params(l=l, eta=eta, m=m)
-    return np.fromiter(_ks_terms(eta, m, l, _LD(1.0), count), dtype=float,
-                       count=count + 1)
+    if not (type(count) is int or isinstance(count, np.integer)) or count < 0:
+        raise DomainViolation(f"count must be a nonnegative integer, got {count!r}")
+    return np.fromiter((t for t, _ in _ks_terms(eta, m, l, _LD(1.0), count)),
+                       dtype=float, count=count + 1)
 
 
-def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int,
-                  policy: MLSeriesParams = DEFAULT_SERIES_PARAMS) -> np.ndarray:
+def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int) -> np.ndarray:
     """Tails T[m] = sum_{k=m+1}^K z^k / Gamma(k*eta + nu), m = 0..n_max.
 
-    Requires z >= 0 so every term is positive.  Summation runs backward
-    over extended-precision terms, which keeps the sequence strictly
-    decreasing while terms remain nonzero and avoids the catastrophic
-    cancellation of forming E(z) minus a partial sum.
+    Requires z >= 0 so every term is positive.  The terms past n_max + 1
+    end by the engine's stop rule at the extended-precision epsilon, and
+    all are summed backward in extended precision, which keeps the
+    sequence strictly decreasing while terms remain nonzero and avoids
+    the catastrophic cancellation of forming E(z) minus a partial sum.
     """
     _check_params(z, eta=eta, nu=nu)
     if z < 0:
         raise DomainViolation("tail sums are defined for z >= 0")
     if n_max < 0:
         raise DomainViolation("n_max must be nonnegative")
-    terms = []
-    for k, t in enumerate(_ml_terms(eta, nu, _LD(z), policy.max_terms)):
-        terms.append(t)
-        if k > n_max + 1 and abs(float(t)) < 1e-300:
-            break
+    stream, kept = itertools.tee(_ml_terms(eta, nu, _LD(z)))
+    used = _sum_to_tolerance(itertools.islice(stream, n_max + 2, None), _TAIL_PARAMS)[1]
+    terms = [t for t, _ in itertools.islice(kept, n_max + 2 + used)]
     running = np.cumsum(np.array(terms[:0:-1], dtype=_LD))[::-1]
     tails = np.zeros(n_max + 1)
     tails[:len(running)] = running[:n_max + 1]
     return tails
 
 
-def ks_array(eta: float, m: float, l: float, z: np.ndarray,
-             policy: MLSeriesParams = DEFAULT_SERIES_PARAMS) -> np.ndarray:
+def ks_array(eta: float, m: float, l: float, z: np.ndarray) -> np.ndarray:
     """Vectorized Kilbas-Saigo evaluation over moderate arguments.
 
     Coefficients are shared across all entries of z, so the cost is one
@@ -283,11 +287,10 @@ def ks_array(eta: float, m: float, l: float, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     _check_params(z, l, eta=eta, m=m)
-    return _sum_to_tolerance(_ks_terms(eta, m, l, z, policy.max_terms), policy)[0]
+    return _sum_to_tolerance(_ks_terms(eta, m, l, z))[0]
 
 
-def ml2_array(eta: float, nu: float, z: np.ndarray,
-              policy: MLSeriesParams = DEFAULT_SERIES_PARAMS) -> np.ndarray:
+def ml2_array(eta: float, nu: float, z: np.ndarray) -> np.ndarray:
     """Vectorized E[eta, nu] over an array of moderate arguments.
 
     Shares the per-k Gamma ratio across all entries; double precision is
@@ -297,4 +300,4 @@ def ml2_array(eta: float, nu: float, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     _check_params(z, eta=eta, nu=nu)
-    return _sum_to_tolerance(_ml_terms(eta, nu, z, policy.max_terms), policy)[0]
+    return _sum_to_tolerance(_ml_terms(eta, nu, z))[0]

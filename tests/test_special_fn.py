@@ -108,6 +108,19 @@ def test_series_params_reject_nan_tolerance():
         MLSeriesParams(rel_tol=math.nan)
 
 
+@pytest.mark.parametrize("max_terms", [1e4, 2.5, np.float64(10.0), True, False, 0, -3,
+                                       np.int64(0)])
+def test_series_params_need_an_integer_term_count(max_terms):
+    with pytest.raises(ParamViolation, match="max_terms"):
+        MLSeriesParams(max_terms=max_terms)
+
+
+@pytest.mark.parametrize("max_terms", [1, 7, np.int64(7), np.int32(7)])
+def test_series_params_accept_python_and_numpy_integers(max_terms):
+    res = mittag_leffler2(0.5, 1.0, 30.0, MLSeriesParams(max_terms=max_terms))
+    assert res.terms_used == max_terms
+
+
 def test_ml_overflow_guard():
     with pytest.raises(OverflowGuard):
         mittag_leffler2(0.2, 1.0, 1e9)
@@ -174,6 +187,18 @@ def test_ks_coefficients_telescope():
         assert np.max(np.abs(got - expected) / expected) < 1e-12
 
 
+@pytest.mark.parametrize("count", [-1, -2, -5, 2.5, 3.0, True, np.float64(2.0)])
+def test_ks_coefficients_need_a_nonnegative_integer_count(count):
+    with pytest.raises(DomainViolation, match="count"):
+        ks_coefficients(0.5, 1.0, 0.0, count)
+
+
+def test_ks_coefficients_take_numpy_integer_counts():
+    assert ks_coefficients(0.5, 1.0, 0.0, np.int64(3)).tolist() == \
+        ks_coefficients(0.5, 1.0, 0.0, 3).tolist()
+    assert ks_coefficients(0.5, 1.0, 0.0, 0).tolist() == [1.0]
+
+
 def test_ks_c2_hand_value():
     # c_2 = [G(1)/G(1.5)] * [G(1.5)/G(2)] = 1/G(2) = 1
     c = ks_coefficients(0.5, 1.0, 0.0, 2)
@@ -203,6 +228,37 @@ def test_tail_sums_decrease_and_match_series():
     total = mittag_leffler2(eta, nu, z).value
     partial = sum(z ** k * math.exp(-log_gamma(k * eta + nu)) for k in range(11))
     assert abs(tails[10] - (total - partial)) < 1e-11
+
+
+def _mp_tail_sums(mpmath, eta, nu, z, n_max):
+    # T[n_max] as a plain 50-digit series, summed until a term is below
+    # 1e-45 of the tail, then T[m - 1] = T[m] + t_m down to m = 1
+    with mpmath.workdps(50):
+        eta, nu, z = mpmath.mpf(eta), mpmath.mpf(nu), mpmath.mpf(z)
+        term = lambda k: z ** k * mpmath.rgamma(k * eta + nu)
+        tail, k = mpmath.mpf(0), n_max + 1
+        while True:
+            tail += term(k)
+            if term(k) < mpmath.mpf(10) ** -45 * tail:
+                break
+            k += 1
+        tails = [tail]
+        for m in range(n_max, 0, -1):
+            tails.append(tails[-1] + term(m))
+        return tails[::-1]
+
+
+@pytest.mark.parametrize("eta,nu,z,n_max", [(1.0, 1.0, 0.5, 150), (0.9, 0.94, 0.8, 180),
+                                            (0.6, 0.76, 2.0, 220), (0.5, 1.0, 1.5, 260)])
+def test_tail_sums_match_mpmath_down_to_the_smallest_normal(eta, nu, z, n_max):
+    # the deepest tails of these rows reach the bottom of the double range,
+    # where only a stop rule relative to the tail keeps them accurate
+    mpmath = pytest.importorskip("mpmath")
+    ref = _mp_tail_sums(mpmath, eta, nu, z, n_max)
+    got = ml2_tail_sums(eta, nu, z, n_max)
+    for m, (g, r) in enumerate(zip(got, ref)):
+        if r >= np.finfo(float).tiny:
+            assert abs(g - r) <= 1e-11 * r, (m, g, float(r))
 
 
 def _mp_mittag_leffler(mpmath, eta, nu, z):
