@@ -17,7 +17,10 @@ import numpy as np
 from .errors import DomainViolation, NonMonotone, raise_on
 
 _MONOTONE_SAMPLES = 64
-_BISECT_ATOL = 1e-13
+_BRACKET_ATOL = 1e-13
+# least distance from an iterate of the custom inverse to the neighbours it
+# is probed with: a converged iterate's bracket closes below _BRACKET_ATOL
+_CLOSE_STEP = 2.5e-14
 # kind -> number of parameters make_psi takes
 _KIND_ARITY = {"identity": 0, "power": 1, "log": 0, "exp": 0}
 
@@ -72,25 +75,61 @@ def _check_monotone(eval_fn, deriv_fn, domain) -> None:
         raise NonMonotone("sampled transform values are not strictly increasing")
 
 
-def _bisect_inverse(eval_fn, domain):
+def _bracketed_inverse(eval_fn, deriv_fn, domain):
     lo, hi = domain
 
     def inverse(u):
-        # One bisection over all targets: each step is one eval_fn call on
-        # the whole array, and only brackets wider than the tolerance move.
+        # One safeguarded Newton iteration over all targets (rtsafe, Numerical
+        # Recipes 3rd ed. 9.4).  Each step calls eval_fn once on the iterates
+        # x and their neighbours x -+ max(|last step| / 2, _CLOSE_STEP), and
+        # every probe moves a bracket [a, b] with Psi(a) <= u <= Psi(b): once
+        # Newton converges, the neighbours straddle the root and the bracket
+        # closes.  A target is done when its bracket is at most
+        # _BRACKET_ATOL wide.  A Newton point that is not finite, leaves the
+        # bracket or fails rtsafe's halving test gives way to the midpoint,
+        # whose neighbours then quarter the bracket, so a wrong deriv_fn
+        # costs steps, never accuracy.
         u_arr = np.asarray(u, dtype=float)
         targets = u_arr.ravel()
+        f_lo, f_hi = eval_fn(lo), eval_fn(hi)
         # NaN fails both comparisons, so non-finite targets are rejected too
-        bad = ~((eval_fn(lo) - targets <= 0) & (eval_fn(hi) - targets >= 0))
+        bad = ~((f_lo - targets <= 0) & (f_hi - targets >= 0))
         if bad.any():
             raise DomainViolation(f"inverse target {targets[bad][0]!r} outside range")
         a, b = np.full_like(targets, lo), np.full_like(targets, hi)
-        while (active := b - a > _BISECT_ATOL).any():
-            mid = 0.5 * (a + b)
-            left = np.asarray(eval_fn(mid), dtype=float) - targets <= 0
-            a = np.where(active & left, mid, a)
-            b = np.where(active & ~left, mid, b)
-        out = (0.5 * (a + b)).reshape(u_arr.shape)
+        with np.errstate(all="ignore"):  # a flat map gives 0/0 here
+            w = (targets - f_lo) / (f_hi - f_lo)
+        # the secant guess; its weights put the end targets on lo and hi
+        x = np.clip(np.where(np.isfinite(w), (1.0 - w) * lo + w * hi, lo), lo, hi)
+        step = prev_step = b - a  # sizes of the last two steps, as in rtsafe
+        spread = np.full_like(targets, _CLOSE_STEP)
+        active = b - a > _BRACKET_ATOL
+        while active.any():
+            probes = np.stack((x, np.maximum(x - spread, a), np.minimum(x + spread, b)))
+            resid = np.asarray(eval_fn(probes.ravel()), dtype=float).reshape(3, -1) - targets
+            left = resid <= 0
+            a = np.where(active, np.maximum(a, np.where(left, probes, lo).max(0)), a)
+            b = np.where(active, np.minimum(b, np.where(left, hi, probes).min(0)), b)
+            # when x and a neighbour both fall on one side of the root, Newton
+            # goes on from the neighbour, which is the new end of the bracket
+            fx = np.where(x < a, resid[2], np.where(x > b, resid[1], resid[0]))
+            x = np.minimum(np.maximum(x, a), b)
+            width = b - a
+            if not (active := width > _BRACKET_ATOL).any():
+                break
+            dfx = np.asarray(deriv_fn(x), dtype=float)
+            with np.errstate(all="ignore"):  # a zero, infinite or NaN deriv_fn
+                newton_step = fx / dfx
+                newton = x - newton_step
+                size = np.abs(newton_step)
+                # rtsafe's halving test |2 f| <= |dx_old f'| divided by |f'|;
+                # a NaN Newton point fails every comparison and is not taken
+                take = (a <= newton) & (newton <= b) & (2.0 * size <= prev_step)
+            half = 0.5 * width
+            prev_step, step = step, np.where(take, size, half)
+            spread = np.maximum(0.5 * step, _CLOSE_STEP)
+            x = np.where(active, np.where(take, newton, a + half), x)
+        out = x.reshape(u_arr.shape)
         return float(out) if out.ndim == 0 else out
 
     return inverse
@@ -176,18 +215,26 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     """Wrap user callables as a transform map.
 
     Monotonicity is spot-checked at 64 interior sample points, not
-    proven.  ``eval_fn`` is evaluated on floats and on 1-D numpy arrays.
-    When ``inverse_fn`` is omitted the inverse is one bisection over all
-    targets at once, to 1e-13 absolute tolerance: each step calls
-    ``eval_fn`` once on an array, so any number of targets costs about
-    ``log2((hi - lo) / 1e-13)`` calls (45 on [0, 2]).  It keeps the input
-    shape and raises :class:`DomainViolation` for targets that are not
-    finite or lie outside ``[eval_fn(lo), eval_fn(hi)]``.
+    proven.  ``eval_fn`` and ``deriv_fn`` are evaluated on floats and on
+    1-D numpy arrays.  When ``inverse_fn`` is omitted the inverse is one
+    safeguarded Newton iteration over all targets at once, steered by
+    ``deriv_fn``: each step calls ``eval_fn`` and ``deriv_fn`` once on an
+    array, and a target is done when a bracket at most 1e-13 wide holds
+    its root, so every returned point is within 1e-13 of a sign change
+    of ``eval_fn(t) - u``.  With the true derivative a grid of
+    ``t + 0.4 sin t`` on [0, 1] costs 7 ``eval_fn`` calls whatever its
+    size.  A wrong derivative only costs speed, never accuracy: a step
+    whose Newton point is not finite, leaves the bracket or does not
+    halve fast enough takes the bracket midpoint instead (26 to 62 calls
+    on [0, 2] for zero, NaN, negated or badly scaled derivatives).  The
+    inverse keeps the input shape and raises :class:`DomainViolation`
+    for targets that are not finite or lie outside
+    ``[eval_fn(lo), eval_fn(hi)]``.
     """
     lo, hi = _checked_domain(domain)
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
     if inverse_fn is None:
-        inverse_fn = _bisect_inverse(eval_fn, (lo, hi))
+        inverse_fn = _bracketed_inverse(eval_fn, deriv_fn, (lo, hi))
     return PsiMap(kind="custom", domain=(lo, hi),
                   _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
 

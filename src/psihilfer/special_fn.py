@@ -268,8 +268,8 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int) -> np.ndarray:
     _check_params(z, eta=eta, nu=nu)
     if z < 0:
         raise DomainViolation("tail sums are defined for z >= 0")
-    if n_max < 0:
-        raise DomainViolation("n_max must be nonnegative")
+    if not (type(n_max) is int or isinstance(n_max, np.integer)) or n_max < 0:
+        raise DomainViolation(f"n_max must be a nonnegative integer, got {n_max!r}")
     stream, kept = itertools.tee(_ml_terms(eta, nu, _LD(z)))
     used = _sum_to_tolerance(itertools.islice(stream, n_max + 2, None), _TAIL_PARAMS)[1]
     terms = [t for t, _ in itertools.islice(kept, n_max + 2 + used)]

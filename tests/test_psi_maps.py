@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from psihilfer import (DomainViolation, NonMonotone, build_grid,
                        make_custom_psi, make_psi, psi_from_config,
                        psi_increment)
+from psihilfer import psi_maps
 from psihilfer.psi_maps import roundtrip_error
 
 
@@ -102,41 +103,80 @@ def _sine_psi(s):
                            (0.0, 2.0))
 
 
-def _reference_inverse(eval_fn, lo, hi, targets):
-    """The per-node scalar bisection the vectorised inverse must reproduce."""
-    out = np.empty(len(targets))
-    for idx, target in enumerate(targets):
-        a, b = lo, hi
-        if eval_fn(a) - target > 0 or eval_fn(b) - target < 0:
-            raise DomainViolation(f"inverse target {target!r} outside range")
-        while b - a > 1e-13:
-            mid = 0.5 * (a + b)
-            if eval_fn(mid) - target <= 0:
-                a = mid
-            else:
-                b = mid
-        out[idx] = 0.5 * (a + b)
-    return out
-
-
-# On [0, 2] every bracket halves exactly and all targets stop at the same
-# step; a width of 2^44 * 1e-13 puts the stop between steps 44 and 45, so
-# targets stop at different steps depending on rounding.
-@pytest.mark.parametrize("make", [
-    lambda: _sine_psi(0.1), lambda: _sine_psi(0.4), _cubic_psi,
-    lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)),
-], ids=["sin0.1", "sin0.4", "cubic", "cubic-ragged-stop"])
+@pytest.mark.parametrize("make,mp_value", [
+    (lambda: _sine_psi(0.1), lambda mp, t: t + 0.1 * mp.sin(t)),
+    (lambda: _sine_psi(0.4), lambda mp, t: t + 0.4 * mp.sin(t)),
+    (_cubic_psi, lambda mp, t: t ** 3 + t),
+    (lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)), lambda mp, t: t ** 3 + t),
+], ids=["sin0.1", "sin0.4", "cubic", "cubic-shifted"])
 @pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
-def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
+def test_custom_grid_nodes_within_1e13_of_mpmath_root(make, mp_value, n):
+    mpmath = pytest.importorskip("mpmath")
     psi = make()
     lo, hi = psi.domain
     u0, u1 = float(psi.value(lo)), float(psi.value(hi))
     h = (u1 - u0) / n
-    ref = np.concatenate(([lo], _reference_inverse(
-        psi.value, lo, hi, u0 + np.arange(1, n) * h), [hi]))
-    assert np.array_equal(build_grid(psi, lo, hi, n).nodes, ref)
+    nodes = build_grid(psi, lo, hi, n).nodes
+    assert nodes[0] == lo and nodes[-1] == hi
+    with mpmath.workdps(30):
+        for node, target in zip(nodes[1:-1], u0 + np.arange(1, n) * h):
+            u = mpmath.mpf(float(target))
+            root = mpmath.findroot(lambda t: mp_value(mpmath, t) - u, mpmath.mpf(float(node)))
+            assert abs(root - node) <= 1e-13
     ends = np.array([psi.value(lo), psi.value(hi)], dtype=float)
-    assert np.array_equal(psi.inverse(ends), _reference_inverse(psi.value, lo, hi, ends))
+    assert psi.inverse(ends).tolist() == [lo, hi]
+    assert psi.inverse(ends[0]) == lo and psi.inverse(ends[1]) == hi
+
+
+@pytest.mark.parametrize("rho", [2.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
+def test_custom_grid_matches_closed_form_power_nodes(rho, n):
+    # the built-in power map inverts in closed form; wrapped as a custom
+    # map without an inverse it must give the same nodes to rounding
+    builtin = make_psi("power", (rho,), (0.0, 2.0))
+    custom = make_custom_psi(builtin.value, builtin.deriv, (0.0, 2.0))
+    exact = build_grid(builtin, 0.0, 2.0, n).nodes
+    nodes = build_grid(custom, 0.0, 2.0, n).nodes
+    assert np.all(np.abs(nodes - exact) <= 1e-15 * np.maximum(1.0, np.abs(exact)))
+
+
+def _counted(fn):
+    def counted(t):
+        counted.calls += 1
+        return fn(t)
+    counted.calls = 0
+    return counted
+
+
+def _sine_deriv(t):
+    return 1.0 + 0.4 * np.cos(np.asarray(t, dtype=float))
+
+
+@pytest.mark.parametrize("deriv_fn", [
+    lambda t: 1e6 * _sine_deriv(t), lambda t: 1e-3 * _sine_deriv(t),
+    lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+    lambda t: -_sine_deriv(t),
+    lambda t: np.full_like(np.asarray(t, dtype=float), np.nan),
+], ids=["x1e6", "x1e-3", "zero", "negated", "nan"])
+def test_custom_inverse_survives_a_wrong_derivative(deriv_fn):
+    eval_fn = _counted(lambda t: np.asarray(t, dtype=float) + 0.4 * np.sin(t))
+    inverse = psi_maps._bracketed_inverse(eval_fn, deriv_fn, (0.0, 2.0))
+    u1 = float(eval_fn(2.0))
+    targets = np.arange(1, 512) * (u1 / 512)
+    eval_fn.calls = 0
+    nodes = inverse(targets)
+    assert eval_fn.calls <= 100
+    # every node is within 1e-13 of a sign change of Psi(t) - u
+    assert np.all(eval_fn(np.maximum(nodes - 1e-13, 0.0)) - targets <= 0)
+    assert np.all(eval_fn(np.minimum(nodes + 1e-13, 2.0)) - targets >= 0)
+
+
+def test_custom_grid_takes_few_calls_with_the_true_derivative():
+    eval_fn = _counted(lambda t: np.asarray(t, dtype=float) + 0.4 * np.sin(t))
+    psi = make_custom_psi(eval_fn, _sine_deriv, (0.0, 2.0))
+    eval_fn.calls = 0
+    build_grid(psi, 0.0, 1.0, 4096)
+    assert eval_fn.calls <= 12
 
 
 def test_custom_inverse_is_vectorised():

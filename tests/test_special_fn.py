@@ -199,6 +199,18 @@ def test_ks_coefficients_take_numpy_integer_counts():
     assert ks_coefficients(0.5, 1.0, 0.0, 0).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, True, False, np.float64(2.0)])
+def test_tail_sums_need_a_nonnegative_integer_n_max(n_max):
+    with pytest.raises(DomainViolation, match="n_max"):
+        ml2_tail_sums(0.5, 1.0, 0.5, n_max)
+
+
+def test_tail_sums_take_numpy_integer_n_max():
+    assert ml2_tail_sums(0.5, 1.0, 0.5, np.int64(3)).tolist() == \
+        ml2_tail_sums(0.5, 1.0, 0.5, 3).tolist()
+    assert len(ml2_tail_sums(0.5, 1.0, 0.5, 0)) == 1
+
+
 def test_ks_c2_hand_value():
     # c_2 = [G(1)/G(1.5)] * [G(1.5)/G(2)] = 1/G(2) = 1
     c = ks_coefficients(0.5, 1.0, 0.0, 2)
