@@ -103,6 +103,47 @@ def _sine_psi(s):
                            (0.0, 2.0))
 
 
+def _reference_inverse(eval_fn, lo, hi, targets):
+    """Per-node scalar bisection to a bracket at most 1e-13 wide."""
+    out = np.empty(len(targets))
+    for idx, target in enumerate(targets):
+        a, b = lo, hi
+        if eval_fn(a) - target > 0 or eval_fn(b) - target < 0:
+            raise DomainViolation(f"inverse target {target!r} outside range")
+        while b - a > 1e-13:
+            mid = 0.5 * (a + b)
+            if eval_fn(mid) - target <= 0:
+                a = mid
+            else:
+                b = mid
+        out[idx] = 0.5 * (a + b)
+    return out
+
+
+# Targets converge at different steps (on the domain of width 2^44 * 1e-13
+# the bisection stops ragged too), so a converged entry must stay frozen
+# while the others iterate: the vectorised grid is bit-identical to the
+# inverse called on each node as a scalar.  The scalar bisection's bracket
+# and the inverse's bracket, each at most 1e-13 wide, hold the same root.
+@pytest.mark.parametrize("make", [
+    lambda: _sine_psi(0.1), lambda: _sine_psi(0.4), _cubic_psi,
+    lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)),
+], ids=["sin0.1", "sin0.4", "cubic", "cubic-ragged-stop"])
+@pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
+def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
+    psi = make()
+    lo, hi = psi.domain
+    u0, u1 = float(psi.value(lo)), float(psi.value(hi))
+    targets = u0 + np.arange(1, n) * ((u1 - u0) / n)
+    nodes = build_grid(psi, lo, hi, n).nodes
+    scalar = [psi.inverse(float(u)) for u in targets]
+    assert np.array_equal(nodes, np.concatenate(([lo], scalar, [hi])))
+    bisected = _reference_inverse(psi.value, lo, hi, targets)
+    assert np.all(np.abs(nodes[1:-1] - bisected) <= 1.5e-13)
+    ends = np.array([psi.value(lo), psi.value(hi)], dtype=float)
+    assert psi.inverse(ends).tolist() == [psi.inverse(ends[0]), psi.inverse(ends[1])]
+
+
 @pytest.mark.parametrize("make,mp_value", [
     (lambda: _sine_psi(0.1), lambda mp, t: t + 0.1 * mp.sin(t)),
     (lambda: _sine_psi(0.4), lambda mp, t: t + 0.4 * mp.sin(t)),
