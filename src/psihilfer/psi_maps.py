@@ -86,9 +86,9 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
         # Newton converges, the neighbours straddle the root and the bracket
         # closes.  A target is done when its bracket is at most
         # _BRACKET_ATOL wide.  A Newton point that is not finite, leaves the
-        # bracket or fails rtsafe's halving test gives way to the midpoint,
-        # whose neighbours then quarter the bracket, so a wrong deriv_fn
-        # costs steps, never accuracy.
+        # bracket, stays put twice or fails rtsafe's halving test gives
+        # way to the midpoint, whose neighbours then quarter the bracket, so
+        # a wrong deriv_fn costs steps, never accuracy.
         u_arr = np.asarray(u, dtype=float)
         targets = u_arr.ravel()
         f_lo, f_hi = eval_fn(lo), eval_fn(hi)
@@ -122,9 +122,15 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
                 newton_step = fx / dfx
                 newton = x - newton_step
                 size = np.abs(newton_step)
+                # a step that rounds to nothing keeps x on an end of its
+                # bracket, probed already: it is taken only while the
+                # neighbours are wider than _CLOSE_STEP, to draw them in;
+                # taken again it would crawl across a flat residual by
+                # _CLOSE_STEP a step
+                moves = (newton != x) | (spread > _CLOSE_STEP)
                 # rtsafe's halving test |2 f| <= |dx_old f'| divided by |f'|;
                 # a NaN Newton point fails every comparison and is not taken
-                take = (a <= newton) & (newton <= b) & (2.0 * size <= prev_step)
+                take = (a <= newton) & (newton <= b) & moves & (2.0 * size <= prev_step)
             half = 0.5 * width
             prev_step, step = step, np.where(take, size, half)
             spread = np.maximum(0.5 * step, _CLOSE_STEP)
@@ -224,9 +230,10 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     of ``eval_fn(t) - u``.  With the true derivative a grid of
     ``t + 0.4 sin t`` on [0, 1] costs 7 ``eval_fn`` calls whatever its
     size.  A wrong derivative only costs speed, never accuracy: a step
-    whose Newton point is not finite, leaves the bracket or does not
-    halve fast enough takes the bracket midpoint instead (26 to 62 calls
-    on [0, 2] for zero, NaN, negated or badly scaled derivatives).  The
+    whose Newton point is not finite, leaves the bracket, does not halve
+    fast enough or rounds to nothing a second time takes the bracket
+    midpoint instead (26 to 58 calls on [0, 2] for zero, NaN, infinite,
+    negated or badly scaled derivatives).  The
     inverse keeps the input shape and raises :class:`DomainViolation`
     for targets that are not finite or lie outside
     ``[eval_fn(lo), eval_fn(hi)]``.

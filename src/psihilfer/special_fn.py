@@ -38,6 +38,11 @@ _LOG_LD_MAX = float(np.log(np.finfo(_LD).max))
 _FIRST_BLOCK = 16
 
 
+def _is_int(n) -> bool:
+    """Whether ``n`` is a Python or numpy integer (a bool is neither)."""
+    return type(n) is int or isinstance(n, np.integer)
+
+
 @dataclass(frozen=True)
 class MLSeriesParams:
     """Truncation policy for Mittag-Leffler type series."""
@@ -49,7 +54,7 @@ class MLSeriesParams:
         if not 0 < self.rel_tol < math.inf:
             raise ParamViolation("rel_tol must be finite and positive")
         n = self.max_terms
-        if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ParamViolation(f"max_terms must be an integer >= 1, got {n!r}")
 
 
@@ -250,7 +255,7 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
 def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
     """First ``count`` + 1 Kilbas-Saigo coefficients c_0 .. c_count."""
     _check_params(l=l, eta=eta, m=m)
-    if not (type(count) is int or isinstance(count, np.integer)) or count < 0:
+    if not _is_int(count) or count < 0:
         raise DomainViolation(f"count must be a nonnegative integer, got {count!r}")
     return np.fromiter((t for t, _ in _ks_terms(eta, m, l, _LD(1.0), count)),
                        dtype=float, count=count + 1)
@@ -268,7 +273,7 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int) -> np.ndarray:
     _check_params(z, eta=eta, nu=nu)
     if z < 0:
         raise DomainViolation("tail sums are defined for z >= 0")
-    if not (type(n_max) is int or isinstance(n_max, np.integer)) or n_max < 0:
+    if not _is_int(n_max) or n_max < 0:
         raise DomainViolation(f"n_max must be a nonnegative integer, got {n_max!r}")
     stream, kept = itertools.tee(_ml_terms(eta, nu, _LD(z)))
     used = _sum_to_tolerance(itertools.islice(stream, n_max + 2, None), _TAIL_PARAMS)[1]
