@@ -11,6 +11,7 @@ value), 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -142,16 +143,30 @@ def load_config(path: str, required=SOLVE_KEYS) -> ProblemConfig:
                          output_path)
 
 
+def _write_csv(path: str, header: str, columns, blank_corner=False) -> None:
+    """Write equal-length columns as CSV under ``header``: one ``%.17g``
+    pass over all fields, LF endings, one ``write``.  ``blank_corner``
+    leaves the last field of the first row empty."""
+    values = np.column_stack(columns)
+    rows, width = values.shape
+    field = "%.17g"
+    row = "\n" + ",".join([field] * width)
+    fields = values.ravel().tolist()
+    first = row
+    if blank_corner:
+        first = row.removesuffix(field)
+        del fields[width - 1]
+    text = (header + first + row * (rows - 1) + "\n") % tuple(fields)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _emit_solution(path: str, solution) -> None:
     """CSV with header t,w,y.  The unweighted solution is unbounded at
     the left endpoint when zeta < 1, so that y field is left empty."""
-    ts, ws = solution.grid.nodes.tolist(), solution.w.tolist()
-    rows = [f"{t:.17g},{w:.17g},{y:.17g}"
-            for t, w, y in zip(ts, ws, solution.to_plain().tolist())]
-    if solution.zeta < 1.0:
-        rows[0] = f"{ts[0]:.17g},{ws[0]:.17g},"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(["t,w,y", *rows]) + "\n")
+    _write_csv(path, "t,w,y",
+               (solution.grid.nodes, solution.w, solution.to_plain()),
+               blank_corner=solution.zeta < 1.0)
 
 
 def _cmd_solve(args) -> int:
@@ -174,8 +189,7 @@ def _cmd_solve(args) -> int:
     }
     with open(cfg.output_path + ".report.json", "w", encoding="utf-8",
               newline="") as fh:
-        json.dump(side_car, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+        fh.write(json.dumps(side_car, indent=2, allow_nan=True) + "\n")
     if not report.converged:
         _fail("numerical", "iteration did not converge within max_iter")
         return EXIT_NUMERICAL
@@ -218,12 +232,7 @@ def _cmd_frint(args) -> int:
     grid = build_grid(psi, float(ts[0]), float(ts[-1]), args.n)
     resampled = np.interp(grid.nodes, ts, hs)
     op = FracIntegralOperator(grid, args.eta)
-    vals = op.apply_plain(resampled)
-    lines = ["t,frint"]
-    for t, v in zip(grid.nodes, vals):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.output, "t,frint", (grid.nodes, op.apply_plain(resampled)))
     return EXIT_OK
 
 
@@ -301,7 +310,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise PsiHilferError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call (and thread): ``parse_args`` fills a fresh namespace and never
+    changes the parser, so callers must not change it either."""
     parser = _ArgumentParser(
         prog="psihilfer",
         description="Fractional Cauchy problems: iterative solver, "

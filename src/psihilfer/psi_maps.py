@@ -77,6 +77,13 @@ def _check_monotone(eval_fn, deriv_fn, domain) -> None:
 
 def _bracketed_inverse(eval_fn, deriv_fn, domain):
     lo, hi = domain
+    # adjacent doubles can be more than _BRACKET_ATOL apart only from
+    # |t| = 512 on; below that the width test alone ends every bracket
+    coarse = np.spacing(max(abs(lo), abs(hi))) > _BRACKET_ATOL
+
+    def still_open(a, b):
+        wide = b - a > _BRACKET_ATOL
+        return wide & (np.nextafter(a, b) < b) if coarse else wide
 
     def inverse(u):
         # One safeguarded Newton iteration over all targets (rtsafe, Numerical
@@ -85,10 +92,12 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
         # every probe moves a bracket [a, b] with Psi(a) <= u <= Psi(b): once
         # Newton converges, the neighbours straddle the root and the bracket
         # closes.  A target is done when its bracket is at most
-        # _BRACKET_ATOL wide.  A Newton point that is not finite, leaves the
-        # bracket, stays put twice or fails rtsafe's halving test gives
-        # way to the midpoint, whose neighbours then quarter the bracket, so
-        # a wrong deriv_fn costs steps, never accuracy.
+        # _BRACKET_ATOL wide, or its ends are adjacent doubles (|t| >= 512,
+        # where one ulp exceeds _BRACKET_ATOL).  A Newton point that is not
+        # finite, leaves the bracket, stays put twice or fails rtsafe's
+        # halving test gives way to the midpoint, whose neighbours then
+        # quarter the bracket, so a wrong deriv_fn costs steps, never
+        # accuracy.
         u_arr = np.asarray(u, dtype=float)
         targets = u_arr.ravel()
         f_lo, f_hi = eval_fn(lo), eval_fn(hi)
@@ -103,7 +112,7 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
         x = np.clip(np.where(np.isfinite(w), (1.0 - w) * lo + w * hi, lo), lo, hi)
         step = prev_step = b - a  # sizes of the last two steps, as in rtsafe
         spread = np.full_like(targets, _CLOSE_STEP)
-        active = b - a > _BRACKET_ATOL
+        active = still_open(a, b)
         while active.any():
             probes = np.stack((x, np.maximum(x - spread, a), np.minimum(x + spread, b)))
             resid = np.asarray(eval_fn(probes.ravel()), dtype=float).reshape(3, -1) - targets
@@ -114,8 +123,7 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
             # goes on from the neighbour, which is the new end of the bracket
             fx = np.where(x < a, resid[2], np.where(x > b, resid[1], resid[0]))
             x = np.minimum(np.maximum(x, a), b)
-            width = b - a
-            if not (active := width > _BRACKET_ATOL).any():
+            if not (active := still_open(a, b)).any():
                 break
             dfx = np.asarray(deriv_fn(x), dtype=float)
             with np.errstate(all="ignore"):  # a zero, infinite or NaN deriv_fn
@@ -131,7 +139,7 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
                 # rtsafe's halving test |2 f| <= |dx_old f'| divided by |f'|;
                 # a NaN Newton point fails every comparison and is not taken
                 take = (a <= newton) & (newton <= b) & moves & (2.0 * size <= prev_step)
-            half = 0.5 * width
+            half = 0.5 * (b - a)
             prev_step, step = step, np.where(take, size, half)
             spread = np.maximum(0.5 * step, _CLOSE_STEP)
             x = np.where(active, np.where(take, newton, a + half), x)
@@ -225,11 +233,12 @@ def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
     1-D numpy arrays.  When ``inverse_fn`` is omitted the inverse is one
     safeguarded Newton iteration over all targets at once, steered by
     ``deriv_fn``: each step calls ``eval_fn`` and ``deriv_fn`` once on an
-    array, and a target is done when a bracket at most 1e-13 wide holds
-    its root, so every returned point is within 1e-13 of a sign change
-    of ``eval_fn(t) - u``.  With the true derivative a grid of
-    ``t + 0.4 sin t`` on [0, 1] costs 7 ``eval_fn`` calls whatever its
-    size.  A wrong derivative only costs speed, never accuracy: a step
+    array, and a target is done when a bracket at most 1e-13 wide, or one
+    whose ends are adjacent doubles, holds its root, so every returned
+    point is within 1e-13 of a sign change of ``eval_fn(t) - u``, or
+    within one ulp where doubles are coarser (|t| >= 512).  With the
+    true derivative a grid of ``t + 0.4 sin t`` on [0, 1] costs 7
+    ``eval_fn`` calls whatever its size.  A wrong derivative only costs speed, never accuracy: a step
     whose Newton point is not finite, leaves the bracket, does not halve
     fast enough or rounds to nothing a second time takes the bracket
     midpoint instead (26 to 58 calls on [0, 2] for zero, NaN, infinite,

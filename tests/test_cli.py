@@ -1,14 +1,18 @@
+import concurrent.futures
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from psihilfer import (CauchyProblem, LinearProblem, OrderParams,
-                       PsiHilferError, apriori_error_bound_sequence, make_psi,
+from psihilfer import (CauchyProblem, FracIntegralOperator, LinearProblem,
+                       OrderParams, PsiHilferError, WeightedGridFunction,
+                       apriori_error_bound_sequence, build_grid, make_psi,
                        parse, picard_solve, solve_constant, solve_variable)
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                           LINEAR_KEYS, SOLVE_KEYS, load_config, main)
+                           LINEAR_KEYS, SOLVE_KEYS, _emit_solution,
+                           build_parser, load_config, main)
 from psihilfer.errors import ValidationError
 from psihilfer.psi_maps import _KIND_ARITY
 
@@ -162,16 +166,119 @@ def test_solve_reports_the_l_override(tmp_path):
 
 
 def test_solve_determinism_across_runs_and_threads(tmp_path):
-    outputs, reports = [], []
-    for run in range(3):
+    # every call shares one parser; concurrent solves, a zeta < 1 and a
+    # zeta = 1 problem with distinct output paths, write the bytes of a
+    # sequential run
+    orders = ({"eta": 0.5, "nu": 0.5}, {"eta": 0.6, "nu": 1.0})
+
+    def solve(run, order):
         out = tmp_path / f"sol{run}.csv"
         cfg = _write_config(tmp_path / f"c{run}.json", output_path=str(out),
-                            horizon=1.0, n=256)
-        assert main(["solve", cfg]) == EXIT_OK
-        outputs.append(out.read_bytes())
-        reports.append((tmp_path / f"sol{run}.csv.report.json").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert reports[0] == reports[1] == reports[2]
+                            horizon=1.0, n=256, **orders[order])
+        code = main(["solve", cfg])
+        report = tmp_path / f"sol{run}.csv.report.json"
+        return code, out.read_bytes(), report.read_bytes()
+
+    expected = [solve(f"seq{order}", order) for order in range(len(orders))]
+    assert all(code == EXIT_OK for code, _, _ in expected)
+    jobs = [(f"thr{job}", job % len(orders)) for job in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda job: solve(*job), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (_, order), result in zip(jobs, results):
+        assert result == expected[order]
+
+
+def test_shared_parser_does_not_carry_values_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = _write_config(tmp_path / "c.json")
+    assert main(["bounds", cfg]) == EXIT_OK
+    default = capsys.readouterr().out
+    assert main(["bounds", cfg, "--z-a", "-0.25"]) == EXIT_OK
+    assert capsys.readouterr().out != default
+    assert main(["bounds", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == default
+    # the default perturbation is y_a + 0.1
+    assert out.splitlines()[-1].startswith(
+        f"continuous_dependence(|dy_a|={abs(1.0 + 0.1 - 1.0):.17g}) = ")
+    assert build_parser().parse_args(["bounds", cfg]).z_a is None
+
+    ml = ["ml", "--eta", "1", "--nu", "1", "--z", "1"]
+    assert main(ml) == EXIT_OK
+    tight = capsys.readouterr().out
+    assert main([*ml, "--rel-tol", "1e-6"]) == EXIT_OK
+    assert capsys.readouterr().out != tight
+    assert main(ml) == EXIT_OK
+    assert capsys.readouterr().out == tight
+    assert build_parser().parse_args(ml).rel_tol == 1e-12
+
+
+def _per_row_csv(header, columns, blank_corner=False):
+    """The retired writer: one f"{v:.17g}" per field, joined by ',' per
+    row, LF endings; blank_corner empties the first row's last field."""
+    rows = [",".join(f"{v:.17g}" for v in row)
+            for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    if blank_corner:
+        rows[0] = rows[0].rpartition(",")[0] + ","
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("solve", {"eta": 0.6, "nu": 0.4}),
+    ("solve", {"eta": 0.6, "nu": 1.0}),
+    ("linear", {"eta": 0.6, "nu": 0.4}),
+    ("linear", {"eta": 0.6, "nu": 1.0, "mu": 1.2}),
+], ids=["solve-zeta<1", "solve-zeta=1", "linear-constant", "linear-variable"])
+def test_solution_csv_matches_the_per_row_writer(tmp_path, command, changes):
+    out = tmp_path / "sol.csv"
+    cfg_path = _write_config(tmp_path / "c.json", output_path=str(out),
+                             horizon=1.0, n=128, **{"lambda": -1.0}, **changes)
+    assert main([command, cfg_path]) == EXIT_OK
+    if command == "solve":
+        cfg = load_config(cfg_path)
+        solution, _ = picard_solve(cfg.problem, n=cfg.n, tol=cfg.tol,
+                                   max_iter=cfg.max_iter, horizon=cfg.horizon)
+    else:
+        cfg = load_config(cfg_path, LINEAR_KEYS)
+        solve = solve_constant if cfg.problem.mu is None else solve_variable
+        solution = solve(cfg.problem, cfg.n)
+    assert out.read_bytes() == _per_row_csv(
+        "t,w,y", (solution.grid.nodes, solution.w, solution.to_plain()),
+        blank_corner=solution.zeta < 1.0)
+
+
+def test_frint_csv_matches_the_per_row_writer(tmp_path):
+    src = tmp_path / "h.csv"
+    ts = np.linspace(0.0, 1.0, 37)
+    hs = np.sin(7.0 * ts)
+    src.write_text("t,h\n" + "".join(
+        f"{t!r},{h!r}\n" for t, h in zip(ts.tolist(), hs.tolist())))
+    out = tmp_path / "out.csv"
+    assert main(["frint", "--input", str(src), "--output", str(out),
+                 "--eta", "0.3", "--n", "100"]) == EXIT_OK
+    grid = build_grid(make_psi("identity", (), (0.0, 1.0)), 0.0, 1.0, 100)
+    vals = FracIntegralOperator(grid, 0.3).apply_plain(
+        np.interp(grid.nodes, ts, hs))
+    assert out.read_bytes() == _per_row_csv("t,frint", (grid.nodes, vals))
+
+
+@pytest.mark.parametrize("zeta", [0.5, 1.0])
+def test_csv_writer_keeps_signed_zero_subnormals_and_extremes(tmp_path, zeta):
+    grid = build_grid(IDENT, 0.0, 2.0, 3)
+    w = [-0.0, 5e-324, 0.1, 1.7976931348623157e308]
+    solution = WeightedGridFunction(grid, zeta, w)
+    out = tmp_path / "sol.csv"
+    _emit_solution(str(out), solution)
+    text = out.read_bytes()
+    assert text == _per_row_csv(
+        "t,w,y", (grid.nodes, w, solution.to_plain()), blank_corner=zeta < 1.0)
+    assert text.split(b"\n")[1].split(b",")[1] == b"-0"
+    assert b"4.9406564584124654e-324" in text and b"1.7976931348623157e+308" in text
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])

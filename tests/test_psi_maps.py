@@ -232,6 +232,24 @@ def test_custom_grid_takes_few_calls_with_the_true_derivative():
     assert eval_fn.calls <= 12
 
 
+@pytest.mark.parametrize("lo", [600.0, -601.0])
+def test_custom_inverse_ends_where_doubles_are_coarser_than_1e13(lo):
+    # from |t| = 512 on one ulp exceeds 1e-13, so a bracket stops at
+    # adjacent doubles
+    eval_fn = _counted(_as_float)
+    psi = make_custom_psi(eval_fn, lambda t: np.ones_like(_as_float(t)),
+                          (lo, lo + 1.0))
+    eval_fn.calls = 0
+    assert abs(psi.inverse(lo + 0.5) - (lo + 0.5)) <= np.spacing(abs(lo + 0.5))
+    assert eval_fn.calls <= 64
+    eval_fn.calls = 0
+    nodes = build_grid(psi, lo, lo + 1.0, 510).nodes
+    assert eval_fn.calls <= 64
+    # Psi is the identity: each node is within one ulp of its target
+    targets = lo + np.arange(1, 510) * (1.0 / 510)
+    assert np.all(np.abs(nodes[1:-1] - targets) <= np.spacing(np.abs(targets)))
+
+
 def test_custom_inverse_is_vectorised():
     calls = 0
 
