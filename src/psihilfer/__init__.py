@@ -11,7 +11,8 @@ integral-inequality majorants and a-priori error bounds.
 from .errors import (ConfigParseError, DomainViolation, ExprDomainError,
                      ExprSyntaxError, GridMismatch, GridTooCoarse,
                      NonMonotone, OverflowGuard, ParamViolation,
-                     PsiHilferError, UnknownIdentifier, ValidationError)
+                     PsiHilferError, SeriesNotConverged, UnknownIdentifier,
+                     ValidationError)
 from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
                        WeightedGridFunction, build_grid, gronwall_bound,
                        hilfer_derivative, monomial_oracle)
@@ -36,7 +37,8 @@ __all__ = [
     "FracIntegralOperator", "GridMismatch", "GridTooCoarse",
     "LinearProblem", "MLSeriesParams", "NonMonotone", "OrderParams",
     "OverflowGuard", "ParamViolation", "PsiGrid", "PsiHilferError",
-    "PsiMap", "RhsExpr", "SeriesResult", "SolveReport", "UnknownIdentifier",
+    "PsiMap", "RhsExpr", "SeriesNotConverged", "SeriesResult", "SolveReport",
+    "UnknownIdentifier",
     "ValidationError", "WeightedGridFunction",
     "apriori_error_bound_sequence", "build_grid",
     "continuous_dependence_bound", "existence_interval", "gronwall_bound",

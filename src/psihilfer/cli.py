@@ -21,7 +21,8 @@ import numpy as np
 
 from . import linear_forms, picard, rhs_expr
 from .errors import (ConfigParseError, ExprDomainError, ExprSyntaxError,
-                     OverflowGuard, PsiHilferError, ValidationError)
+                     OverflowGuard, PsiHilferError, SeriesNotConverged,
+                     ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
 from .psi_maps import _KIND_ARITY, make_psi, psi_from_config
 from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
         _fail("validation", "configuration is invalid",
               {"violations": exc.violations})
         return EXIT_VALIDATION
-    except (OverflowGuard, ExprDomainError) as exc:
+    except (OverflowGuard, ExprDomainError, SeriesNotConverged) as exc:
         _fail("numerical", str(exc))
         return EXIT_NUMERICAL
     except PsiHilferError as exc:

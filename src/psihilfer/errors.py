@@ -28,6 +28,10 @@ class OverflowGuard(PsiHilferError):
     representable floating-point range."""
 
 
+class SeriesNotConverged(PsiHilferError):
+    """A series sum reached its term limit before its stop rule ended it."""
+
+
 class ParamViolation(PsiHilferError):
     """A parameter combination makes a Gamma factor undefined."""
 

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
                      OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
-from .special_fn import (_check_params, _ml_terms, _sum_to_tolerance, log_gamma,
+from .special_fn import (_check_params, _converged_sum, _ml_terms, log_gamma,
                          mittag_leffler2)
 
 _ZETA_MATCH_TOL = 1e-12
@@ -78,9 +78,6 @@ def _xpow(x: np.ndarray, p: float) -> np.ndarray:
 class PsiGrid:
     """Nodes t_i = Psi^{-1}(Psi(a) + i*h), uniform in u = Psi(t)."""
 
-    psi: PsiMap
-    a: float
-    b: float
     n: int
     nodes: np.ndarray = field(repr=False)
     h: float
@@ -112,7 +109,7 @@ def build_grid(psi: PsiMap, a: float, b: float, n: int) -> PsiGrid:
         nodes[1:n] = np.asarray(psi.inverse(inner_u), dtype=float)
     if np.any(np.diff(nodes) <= 0):
         raise DomainViolation("grid nodes are not strictly increasing")
-    return PsiGrid(psi=psi, a=a, b=b, n=n, nodes=nodes, h=h)
+    return PsiGrid(n=n, nodes=nodes, h=h)
 
 
 @dataclass
@@ -169,7 +166,7 @@ def _abel_kernels(eta: float, n: int, z=None) -> tuple[np.ndarray, np.ndarray]:
         rows = ((np.array([[1.0], [1.0 / (k * eta + eta + 1.0)]]), t, size)
                 for k, (t, size) in enumerate(_ml_terms(eta, eta + 1.0, z)))
         terms = ((f * t, f * size) for f, t, size in rows)
-        e = math.exp(log_gamma(eta + 1.0)) * _sum_to_tolerance(terms)[0]
+        e = math.exp(log_gamma(eta + 1.0)) * _converged_sum(terms)[0]
         e0, e1 = e[0], (eta + 1.0) / eta * (e[0] - e[1])
     p0 = np.diff(d ** eta * e0) / eta
     p1 = d[1:] * p0 - np.diff(d ** (eta + 1.0) * e1) / (eta + 1.0)
@@ -229,7 +226,7 @@ class FracIntegralOperator:
     def __init__(self, grid: PsiGrid, eta: float, zeta: float = 1.0):
         _check_params(eta=eta, zeta=zeta)
         self.grid = grid
-        self.eta = eta = float(eta)
+        eta = float(eta)
         self.zeta = z = float(zeta)
         self._conv = _abel_product_rule(grid, eta)
         self.to_plain = grid.x_pow(z - 1.0)

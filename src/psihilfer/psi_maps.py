@@ -17,10 +17,9 @@ import numpy as np
 from .errors import DomainViolation, NonMonotone, raise_on
 
 _MONOTONE_SAMPLES = 64
-_BRACKET_ATOL = 1e-13
-# least distance from an iterate of the custom inverse to the neighbours it
-# is probed with: a converged iterate's bracket closes below _BRACKET_ATOL
-_CLOSE_STEP = 2.5e-14
+# every node of a custom inverse is within max(_ROOT_TOL, 1 ulp) of a sign
+# change of Psi(t) - u
+_ROOT_TOL = 5e-14
 # kind -> number of parameters make_psi takes
 _KIND_ARITY = {"identity": 0, "power": 1, "log": 0, "exp": 0}
 
@@ -77,27 +76,9 @@ def _check_monotone(eval_fn, deriv_fn, domain) -> None:
 
 def _bracketed_inverse(eval_fn, deriv_fn, domain):
     lo, hi = domain
-    # adjacent doubles can be more than _BRACKET_ATOL apart only from
-    # |t| = 512 on; below that the width test alone ends every bracket
-    coarse = np.spacing(max(abs(lo), abs(hi))) > _BRACKET_ATOL
-
-    def still_open(a, b):
-        wide = b - a > _BRACKET_ATOL
-        return wide & (np.nextafter(a, b) < b) if coarse else wide
 
     def inverse(u):
-        # One safeguarded Newton iteration over all targets (rtsafe, Numerical
-        # Recipes 3rd ed. 9.4).  Each step calls eval_fn once on the iterates
-        # x and their neighbours x -+ max(|last step| / 2, _CLOSE_STEP), and
-        # every probe moves a bracket [a, b] with Psi(a) <= u <= Psi(b): once
-        # Newton converges, the neighbours straddle the root and the bracket
-        # closes.  A target is done when its bracket is at most
-        # _BRACKET_ATOL wide, or its ends are adjacent doubles (|t| >= 512,
-        # where one ulp exceeds _BRACKET_ATOL).  A Newton point that is not
-        # finite, leaves the bracket, stays put twice or fails rtsafe's
-        # halving test gives way to the midpoint, whose neighbours then
-        # quarter the bracket, so a wrong deriv_fn costs steps, never
-        # accuracy.
+        # The three steps of make_custom_psi, each over all targets at once.
         u_arr = np.asarray(u, dtype=float)
         targets = u_arr.ravel()
         f_lo, f_hi = eval_fn(lo), eval_fn(hi)
@@ -105,48 +86,51 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
         bad = ~((f_lo - targets <= 0) & (f_hi - targets >= 0))
         if bad.any():
             raise DomainViolation(f"inverse target {targets[bad][0]!r} outside range")
-        a, b = np.full_like(targets, lo), np.full_like(targets, hi)
         with np.errstate(all="ignore"):  # a flat map gives 0/0 here
             w = (targets - f_lo) / (f_hi - f_lo)
         # the secant guess; its weights put the end targets on lo and hi
         x = np.clip(np.where(np.isfinite(w), (1.0 - w) * lo + w * hi, lo), lo, hi)
-        step = prev_step = b - a  # sizes of the last two steps, as in rtsafe
-        spread = np.full_like(targets, _CLOSE_STEP)
-        active = still_open(a, b)
-        while active.any():
-            probes = np.stack((x, np.maximum(x - spread, a), np.minimum(x + spread, b)))
-            resid = np.asarray(eval_fn(probes.ravel()), dtype=float).reshape(3, -1) - targets
-            left = resid <= 0
-            a = np.where(active, np.maximum(a, np.where(left, probes, lo).max(0)), a)
-            b = np.where(active, np.minimum(b, np.where(left, hi, probes).min(0)), b)
-            # when x and a neighbour both fall on one side of the root, Newton
-            # goes on from the neighbour, which is the new end of the bracket
-            fx = np.where(x < a, resid[2], np.where(x > b, resid[1], resid[0]))
-            x = np.minimum(np.maximum(x, a), b)
-            if not (active := still_open(a, b)).any():
-                break
-            dfx = np.asarray(deriv_fn(x), dtype=float)
-            with np.errstate(all="ignore"):  # a zero, infinite or NaN deriv_fn
-                newton_step = fx / dfx
-                newton = x - newton_step
-                size = np.abs(newton_step)
-                # a step that rounds to nothing keeps x on an end of its
-                # bracket, probed already: it is taken only while the
-                # neighbours are wider than _CLOSE_STEP, to draw them in;
-                # taken again it would crawl across a flat residual by
-                # _CLOSE_STEP a step
-                moves = (newton != x) | (spread > _CLOSE_STEP)
-                # rtsafe's halving test |2 f| <= |dx_old f'| divided by |f'|;
-                # a NaN Newton point fails every comparison and is not taken
-                take = (a <= newton) & (newton <= b) & moves & (2.0 * size <= prev_step)
-            half = 0.5 * (b - a)
-            prev_step, step = step, np.where(take, size, half)
-            spread = np.maximum(0.5 * step, _CLOSE_STEP)
-            x = np.where(active, np.where(take, newton, a + half), x)
+        # 1. Newton on the open targets; a step that is not finite or fails
+        # to halve the last one is not taken and ends its target, and so
+        # does a step of at most _ROOT_TOL / 2, which is taken
+        last, open_ = np.full_like(targets, np.inf), np.arange(targets.size)
+        while open_.size:
+            xo = x[open_]
+            dx = _newton_step(eval_fn, deriv_fn, xo, targets[open_])
+            new = np.clip(xo - dx, lo, hi)
+            step = np.abs(new - xo)
+            take = np.isfinite(dx) & (step <= 0.5 * last[open_])
+            x[open_[take]] = new[take]
+            last[open_] = step
+            open_ = open_[take & (step > 0.5 * _ROOT_TOL)]
+        # 2. the certificate: Psi(t) - u changes sign at x -+ max(_ROOT_TOL, 1 ulp)
+        d = np.maximum(_ROOT_TOL, np.spacing(np.abs(x)))
+        resid = np.asarray(eval_fn(np.clip(np.concatenate((x - d, x + d)), lo, hi)),
+                           dtype=float) - np.tile(targets, 2)
+        fail = ~((resid[:x.size] <= 0) & (resid[x.size:] >= 0))
+        if fail.any():
+            # 3. bisection until a bracket is at most _ROOT_TOL wide or its
+            # ends are adjacent doubles, then one Newton step from its
+            # midpoint, clipped into it
+            t = targets[fail]
+            a, b = np.full_like(t, lo), np.full_like(t, hi)
+            while (wide := (b - a > _ROOT_TOL) & (np.nextafter(a, b) < b)).any():
+                mid = 0.5 * (a + b)
+                left = np.asarray(eval_fn(mid), dtype=float) - t <= 0
+                a, b = np.where(wide & left, mid, a), np.where(wide & ~left, mid, b)
+            mid = 0.5 * (a + b)
+            newton = mid - _newton_step(eval_fn, deriv_fn, mid, t)
+            x[fail] = np.where(np.isfinite(newton), np.clip(newton, a, b), mid)
         out = x.reshape(u_arr.shape)
         return float(out) if out.ndim == 0 else out
 
     return inverse
+
+
+def _newton_step(eval_fn, deriv_fn, x, targets):
+    with np.errstate(all="ignore"):  # a zero, infinite or NaN deriv_fn
+        return ((np.asarray(eval_fn(x), dtype=float) - targets)
+                / np.asarray(deriv_fn(x), dtype=float))
 
 
 def _float(value) -> float:
@@ -225,34 +209,31 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
                   _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
 
 
-def make_custom_psi(eval_fn, deriv_fn, domain, inverse_fn=None) -> PsiMap:
+def make_custom_psi(eval_fn, deriv_fn, domain) -> PsiMap:
     """Wrap user callables as a transform map.
 
     Monotonicity is spot-checked at 64 interior sample points, not
     proven.  ``eval_fn`` and ``deriv_fn`` are evaluated on floats and on
-    1-D numpy arrays.  When ``inverse_fn`` is omitted the inverse is one
-    safeguarded Newton iteration over all targets at once, steered by
-    ``deriv_fn``: each step calls ``eval_fn`` and ``deriv_fn`` once on an
-    array, and a target is done when a bracket at most 1e-13 wide, or one
-    whose ends are adjacent doubles, holds its root, so every returned
-    point is within 1e-13 of a sign change of ``eval_fn(t) - u``, or
-    within one ulp where doubles are coarser (|t| >= 512).  With the
-    true derivative a grid of ``t + 0.4 sin t`` on [0, 1] costs 7
-    ``eval_fn`` calls whatever its size.  A wrong derivative only costs speed, never accuracy: a step
-    whose Newton point is not finite, leaves the bracket, does not halve
-    fast enough or rounds to nothing a second time takes the bracket
-    midpoint instead (26 to 58 calls on [0, 2] for zero, NaN, infinite,
-    negated or badly scaled derivatives).  The
-    inverse keeps the input shape and raises :class:`DomainViolation`
-    for targets that are not finite or lie outside
-    ``[eval_fn(lo), eval_fn(hi)]``.
+    1-D numpy arrays.  The inverse runs over all targets at once in three
+    steps: Newton steered by ``deriv_fn`` from the secant guess (one
+    ``eval_fn`` and one ``deriv_fn`` call per step), one ``eval_fn`` call
+    that certifies each node by a sign change of ``eval_fn(t) - u`` at
+    ``t -+ max(5e-14, 1 ulp)``, and, only for the nodes that fail it, a
+    bisection to a bracket at most 5e-14 wide (or one ulp where doubles
+    are coarser) with one Newton step from its midpoint.  So every
+    returned point is within max(5e-14, 1 ulp) of a sign change.  With the
+    true derivative a grid of ``t + 0.4 sin t`` costs 9 or 10 ``eval_fn``
+    calls whatever its size, on [0, 1] as on [600, 601].  A wrong
+    derivative only costs calls, never accuracy: its Newton steps stop
+    early and the certificate sends the nodes to the bisection (51 or 52
+    calls on [0, 2]).  The inverse keeps the input shape and
+    raises :class:`DomainViolation` for targets that are not finite or
+    lie outside ``[eval_fn(lo), eval_fn(hi)]``.
     """
     lo, hi = _checked_domain(domain)
     _check_monotone(eval_fn, deriv_fn, (lo, hi))
-    if inverse_fn is None:
-        inverse_fn = _bracketed_inverse(eval_fn, deriv_fn, (lo, hi))
-    return PsiMap(kind="custom", domain=(lo, hi),
-                  _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
+    return PsiMap(kind="custom", domain=(lo, hi), _eval=eval_fn, _deriv=deriv_fn,
+                  _inverse=_bracketed_inverse(eval_fn, deriv_fn, (lo, hi)))
 
 
 def psi_from_config(cfg) -> PsiMap:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, OverflowGuard, ParamViolation
+from .errors import DomainViolation, OverflowGuard, ParamViolation, SeriesNotConverged
 
 # log of the largest double; any term beyond this cannot contribute to a
 # representable result and signals an argument outside the supported range
@@ -215,6 +215,18 @@ def _sum_to_tolerance(terms, policy: MLSeriesParams = DEFAULT_SERIES_PARAMS):
     return total, policy.max_terms, False
 
 
+def _converged_sum(terms, policy: MLSeriesParams = DEFAULT_SERIES_PARAMS):
+    """_sum_to_tolerance for the sums that report no convergence flag:
+    returns the sum and the number of terms added, and raises
+    SeriesNotConverged when max_terms, not the tolerance, ended it."""
+    total, used, stopped = _sum_to_tolerance(terms, policy)
+    if not stopped:
+        raise SeriesNotConverged(
+            f"a series sum did not meet rel_tol {policy.rel_tol!r} within "
+            f"{policy.max_terms} terms")
+    return total, used
+
+
 def _series_result(terms, policy: MLSeriesParams) -> SeriesResult:
     """Sum a scalar term stream; the first omitted term is the
     truncation estimate."""
@@ -276,7 +288,7 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int) -> np.ndarray:
     if not _is_int(n_max) or n_max < 0:
         raise DomainViolation(f"n_max must be a nonnegative integer, got {n_max!r}")
     stream, kept = itertools.tee(_ml_terms(eta, nu, _LD(z)))
-    used = _sum_to_tolerance(itertools.islice(stream, n_max + 2, None), _TAIL_PARAMS)[1]
+    used = _converged_sum(itertools.islice(stream, n_max + 2, None), _TAIL_PARAMS)[1]
     terms = [t for t, _ in itertools.islice(kept, n_max + 2 + used)]
     running = np.cumsum(np.array(terms[:0:-1], dtype=_LD))[::-1]
     tails = np.zeros(n_max + 1)
@@ -292,7 +304,7 @@ def ks_array(eta: float, m: float, l: float, z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     _check_params(z, l, eta=eta, m=m)
-    return _sum_to_tolerance(_ks_terms(eta, m, l, z))[0]
+    return _converged_sum(_ks_terms(eta, m, l, z))[0]
 
 
 def ml2_array(eta: float, nu: float, z: np.ndarray) -> np.ndarray:
@@ -305,4 +317,4 @@ def ml2_array(eta: float, nu: float, z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     _check_params(z, eta=eta, nu=nu)
-    return _sum_to_tolerance(_ml_terms(eta, nu, z))[0]
+    return _converged_sum(_ml_terms(eta, nu, z))[0]

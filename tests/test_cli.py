@@ -521,7 +521,30 @@ MALFORMED = {
     "frint-psi-unknown": (lambda d: [
         *_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]), "--psi", "cosh"],
         "argument --psi: invalid choice: 'cosh'"),
+    "frint-one-row": (lambda d: _frint_input(d, [(0, 0)]),
+                      "input CSV needs at least two numeric rows"),
+    "config-not-json": (lambda d: ["solve", _text_file(d / "c.json", "{eta: 1")],
+                        "not valid JSON"),
+    "config-array": (lambda d: ["solve", _text_file(d / "c.json", "[1, 2]")],
+                     "expected a single JSON object"),
+    "config-eta-string": (lambda d: ["solve", _write_config(d / "c.json", eta="0.6")],
+                          "eta must be a number"),
+    "config-rhs-number": (lambda d: ["solve", _write_config(d / "c.json", rhs=3)],
+                          "rhs must be a string expression"),
+    "config-output_path-number": (lambda d: ["solve", _write_config(
+        d / "c.json", output_path=5)], "output_path must be a string"),
+    "ml-two-param-without-nu": (lambda d: [
+        "ml", "--family", "two-param", "--eta", "0.5", "--z", "1"],
+        "two-param family needs --eta and --nu"),
+    "ml-kilbas-saigo-without-l": (lambda d: [
+        "ml", "--family", "kilbas-saigo", "--eta", "0.5", "--m", "1", "--z", "1"],
+        "kilbas-saigo family needs --eta, --m and --l"),
 }
+
+
+def _text_file(path, text):
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -710,6 +733,18 @@ def test_frint_subcommand(tmp_path):
     assert abs(v_last - expected) < 1e-3
 
 
+def test_frint_skips_blank_lines(tmp_path):
+    outputs = []
+    for name, text in (("plain", "t,h\n0,0\n0.5,0.25\n1,1\n"),
+                       ("blank", "t,h\n\n0,0\n  \n0.5,0.25\n1,1\n\n")):
+        src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-out.csv"
+        src.write_text(text)
+        assert main(["frint", "--input", str(src), "--output", str(out),
+                     "--eta", "0.5", "--n", "16"]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_frint_rejects_malformed_row(tmp_path, capsys):
     # only a first line that does not parse is a header
     src = tmp_path / "h.csv"
@@ -752,6 +787,21 @@ def test_ml_overflow_exit_code(capsys):
     assert rc == EXIT_NUMERICAL
     payload = json.loads(capsys.readouterr().err)
     assert payload["category"] == "numerical"
+
+
+def test_unconverged_series_exits_3_with_one_json_line(tmp_path, capsys):
+    # E[1e-3, 1](0.9999) needs far more than the 10 000 terms of the series
+    out = tmp_path / "o.csv"
+    cfg = _write_config(tmp_path / "c.json", eta=0.001, nu=0.0, n=64,
+                        output_path=str(out), **{"lambda": 0.9999})
+    assert main(["linear", cfg]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.err == line + "\n"
+    assert json.loads(line)["category"] == "numerical"
+    assert "within 10000 terms" in line
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # orders that are finite but too large for doubles: the weights, scale or

@@ -356,6 +356,32 @@ def test_hilfer_requires_enough_nodes():
         hilfer_derivative(params, wgf)
 
 
+GRID32 = build_grid(IDENT, 0.0, 1.0, 32)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: build_grid(IDENT, 0.0, 1.0, 0), GridTooCoarse, "at least one panel"),
+    (lambda: build_grid(IDENT, 0.5, 0.5, 8), DomainViolation, "need a < b"),
+    (lambda: build_grid(IDENT, 0.75, 0.25, 8), DomainViolation, "need a < b"),
+    (lambda: WeightedGridFunction(GRID32, 0.75, np.ones(32)), GridMismatch,
+     "expected 33 samples"),
+    (lambda: WeightedGridFunction(GRID32, 0.75, np.full(33, np.nan)),
+     DomainViolation, "must be finite"),
+    (lambda: hilfer_derivative(OrderParams(0.5, 0.5),
+                               WeightedGridFunction(GRID32, 0.5, np.ones(33))),
+     GridMismatch, "expected 0.75"),
+    (lambda: gronwall_bound(IDENT, 0.7, 0.0, 1.0, -1.0, 1.0), DomainViolation,
+     "nonnegative"),
+    (lambda: gronwall_bound(IDENT, 0.7, 0.0, 1.0, 1.0, -1.0), DomainViolation,
+     "nonnegative"),
+], ids=["grid-n-0", "grid-a-equals-b", "grid-a-above-b", "samples-short",
+        "samples-nan", "hilfer-zeta-mismatch", "gronwall-negative-v",
+        "gronwall-negative-g"])
+def test_malformed_arguments_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_gronwall_trivial_cases():
     assert gronwall_bound(IDENT, 0.7, 0.0, 1.0, 0.0, 5.0) == 0.0
     assert np.isclose(gronwall_bound(IDENT, 0.7, 0.0, 1.0, 2.0, 0.0), 2.0,

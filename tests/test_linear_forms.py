@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psihilfer import (LinearProblem, OrderParams, ParamViolation,
+from psihilfer import (DomainViolation, LinearProblem, OrderParams, ParamViolation,
                        hilfer_derivative, ks_coefficients, make_psi,
                        mittag_leffler2, parse, solve_constant, solve_variable,
                        variable_series_params)
@@ -189,6 +189,23 @@ def test_forcing_must_not_depend_on_y():
     with pytest.raises(ParamViolation):
         LinearProblem(psi=IDENT, params=PARAMS, a=0.0, b=1.0, y_a=1.0,
                       lam=1.0, forcing=parse("y"))
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.75, 0.25)])
+def test_problem_needs_a_below_b(a, b):
+    with pytest.raises(DomainViolation, match="need a < b"):
+        LinearProblem(psi=IDENT, params=PARAMS, a=a, b=b, y_a=1.0, lam=1.0)
+
+
+def test_each_solver_takes_only_its_own_problem_class():
+    constant = LinearProblem(psi=IDENT, params=PARAMS, a=0.0, b=1.0, y_a=1.0,
+                             lam=1.0)
+    variable = LinearProblem(psi=IDENT, params=PARAMS, a=0.0, b=1.0, y_a=1.0,
+                             lam=1.0, mu=1.2)
+    with pytest.raises(ParamViolation, match="use solve_variable"):
+        solve_constant(variable, 64)
+    with pytest.raises(ParamViolation, match="needs mu"):
+        solve_variable(constant, 64)
 
 
 def test_maps_agree_on_transformed_profile():

@@ -48,6 +48,11 @@ def test_power_requires_positive_exponent():
         make_psi("power", (), (0.0, 1.0))
 
 
+def test_power_requires_nonnegative_domain():
+    with pytest.raises(DomainViolation, match="nonnegative domain"):
+        make_psi("power", (2.0,), (-1.0, 1.0))
+
+
 def test_empty_domain_rejected():
     with pytest.raises(DomainViolation):
         make_psi("identity", (), (1.0, 1.0))
@@ -91,6 +96,10 @@ def test_custom_bisection_inverse():
         assert abs(psi.inverse(psi.value(t)) - t) < 1e-12
 
 
+def _as_float(t):
+    return np.asarray(t, dtype=float)
+
+
 def _cubic_psi(domain=(0.0, 2.0)):
     return make_custom_psi(lambda t: np.asarray(t, dtype=float) ** 3 + t,
                            lambda t: 3.0 * np.asarray(t, dtype=float) ** 2 + 1.0,
@@ -103,16 +112,35 @@ def _sine_psi(s):
                            (0.0, 2.0))
 
 
+def _sqrt_psi():
+    # Newton from the secant guess overshoots below 0 for the targets
+    # under 2^-1.5, where the derivative is infinite: they take the bisection
+    builtin = make_psi("power", (0.5,), (0.0, 2.0))
+    return make_custom_psi(builtin.value, builtin.deriv, (0.0, 2.0))
+
+
+def _quintic_psi():
+    # the secant guess is far from the root, so Newton's steps fail to
+    # halve for some targets, which take the bisection
+    return make_custom_psi(lambda t: _as_float(t) + _as_float(t) ** 5,
+                           lambda t: 1.0 + 5.0 * _as_float(t) ** 4, (0.0, 3.0))
+
+
+GRID_MAPS = [lambda: _sine_psi(0.1), lambda: _sine_psi(0.4), _cubic_psi,
+             lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)), _sqrt_psi,
+             _quintic_psi]
+GRID_MAP_IDS = ["sin0.1", "sin0.4", "cubic", "cubic-ragged-stop", "sqrt-fallback",
+                "quintic-fallback"]
+
+
 # Targets converge at different steps, so a converged entry must stay
 # frozen while the others iterate: the vectorised grid is bit-identical to
-# the inverse called on each node as a scalar.  The name dates from the
-# bisection inverse; the ids are kept so that runs before and after the
-# Newton inverse compare case by case.  Closeness to the root is checked by
-# the mpmath test below.
-@pytest.mark.parametrize("make", [
-    lambda: _sine_psi(0.1), lambda: _sine_psi(0.4), _cubic_psi,
-    lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)),
-], ids=["sin0.1", "sin0.4", "cubic", "cubic-ragged-stop"])
+# the inverse called on each node as a scalar, on the Newton path and on
+# the bisection that nodes failing the certificate take.  The name dates
+# from the bisection inverse; the ids are kept so that runs before and
+# after the Newton inverse compare case by case.  Closeness to the root is
+# checked by the mpmath test below.
+@pytest.mark.parametrize("make", GRID_MAPS, ids=GRID_MAP_IDS)
 @pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
 def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
     psi = make()
@@ -124,6 +152,20 @@ def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
     assert np.array_equal(nodes, np.concatenate(([lo], scalar, [hi])))
     ends = np.array([psi.value(lo), psi.value(hi)], dtype=float)
     assert psi.inverse(ends).tolist() == [psi.inverse(ends[0]), psi.inverse(ends[1])]
+
+
+@pytest.mark.parametrize("make", GRID_MAPS, ids=GRID_MAP_IDS)
+@pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
+def test_custom_grid_nodes_certified_by_a_sign_change(make, n):
+    # each node is within max(5e-14, 1 ulp) of a sign change of Psi(t) - u
+    psi = make()
+    lo, hi = psi.domain
+    u0, u1 = float(psi.value(lo)), float(psi.value(hi))
+    targets = u0 + np.arange(1, n) * ((u1 - u0) / n)
+    nodes = build_grid(psi, lo, hi, n).nodes[1:-1]
+    d = np.maximum(5e-14, np.spacing(nodes))
+    assert np.all(psi.value(np.maximum(nodes - d, lo)) - targets <= 0)
+    assert np.all(psi.value(np.minimum(nodes + d, hi)) - targets >= 0)
 
 
 @pytest.mark.parametrize("make,mp_value", [
@@ -195,14 +237,11 @@ def test_custom_inverse_survives_a_wrong_derivative(deriv_fn):
     assert np.all(eval_fn(np.minimum(nodes + 1e-13, 2.0)) - targets >= 0)
 
 
-def _as_float(t):
-    return np.asarray(t, dtype=float)
-
-
 # Psi(t) - u is exactly 0 on many doubles around each root: 4.8e-6 wide at
 # the flat point t = 1 of (t - 1)^3 + 1 (the n = 2 node is inverse(1.0)),
 # 2.2e-10 wide for a slope of 1e-6 at u ~ 1 and 1.2e-10 for t + 1e6.  A
-# Newton step of zero there must not crawl across by the neighbours.
+# Newton step of zero there ends the iteration; the certificate or the
+# bisection must still place each node in few calls.
 @pytest.mark.parametrize("eval_fn,deriv_fn,domain", [
     (lambda t: (_as_float(t) - 1.0) ** 3 + 1.0,
      lambda t: 3.0 * (_as_float(t) - 1.0) ** 2, (0.0, 2.0)),
@@ -232,10 +271,21 @@ def test_custom_grid_takes_few_calls_with_the_true_derivative():
     assert eval_fn.calls <= 12
 
 
+@pytest.mark.parametrize("lo", [300.0, 600.0, -601.0])
+def test_custom_grid_keeps_newton_speed_on_a_far_domain(lo):
+    # from |t| = 256 on one ulp exceeds 5e-14, and the certificate probes
+    # one ulp away
+    eval_fn = _counted(lambda t: np.asarray(t, dtype=float) + 0.4 * np.sin(t))
+    psi = make_custom_psi(eval_fn, _sine_deriv, (lo, lo + 1.0))
+    eval_fn.calls = 0
+    build_grid(psi, lo, lo + 1.0, 512)
+    assert eval_fn.calls <= 16
+
+
 @pytest.mark.parametrize("lo", [600.0, -601.0])
 def test_custom_inverse_ends_where_doubles_are_coarser_than_1e13(lo):
-    # from |t| = 512 on one ulp exceeds 1e-13, so a bracket stops at
-    # adjacent doubles
+    # from |t| = 512 on one ulp exceeds 1e-13, so a node can only be within
+    # one ulp of its root
     eval_fn = _counted(_as_float)
     psi = make_custom_psi(eval_fn, lambda t: np.ones_like(_as_float(t)),
                           (lo, lo + 1.0))

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from psihilfer import (DomainViolation, MLSeriesParams, OverflowGuard,
-                       ParamViolation, kilbas_saigo, ks_coefficients,
-                       log_gamma, mittag_leffler2)
+                       ParamViolation, SeriesNotConverged, kilbas_saigo,
+                       ks_coefficients, log_gamma, mittag_leffler2)
+from psihilfer.frac_ops import _abel_kernels
 from psihilfer.special_fn import ks_array, ml2_array, ml2_tail_sums
 
 # ln Gamma at the classical check points, 30-digit values
@@ -142,6 +143,21 @@ def test_ml_not_converged_flag():
     assert res.terms_used == 5
 
 
+# E[1e-3, 1](0.9999) is 2011.300463 (30 digits) and needs far more than
+# 10 000 terms: the scalar evaluator flags it, and the sums that report no
+# flag raise instead of returning 2011.300422
+@pytest.mark.parametrize("evaluate", [
+    lambda: ml2_array(1e-3, 1.0, np.array([0.5, 0.9999])),
+    lambda: ks_array(1e-3, 1.0, 0.0, np.array([0.9999])),
+    lambda: ml2_tail_sums(1e-3, 1.0, 0.9999, 5),
+    lambda: _abel_kernels(1e-3, 8, np.full(9, 0.9999)),
+], ids=["ml2_array", "ks_array", "ml2_tail_sums", "resolvent-moments"])
+def test_unconverged_sum_without_a_flag_raises(evaluate):
+    assert not mittag_leffler2(1e-3, 1.0, 0.9999).converged
+    with pytest.raises(SeriesNotConverged, match="within 10000 terms"):
+        evaluate()
+
+
 def test_truncation_estimate_bounds_first_omitted_term():
     policy = MLSeriesParams()
     for z in (0.5, 2.0, -1.0):
@@ -203,6 +219,11 @@ def test_ks_coefficients_take_numpy_integer_counts():
 def test_tail_sums_need_a_nonnegative_integer_n_max(n_max):
     with pytest.raises(DomainViolation, match="n_max"):
         ml2_tail_sums(0.5, 1.0, 0.5, n_max)
+
+
+def test_tail_sums_need_a_nonnegative_argument():
+    with pytest.raises(DomainViolation, match="z >= 0"):
+        ml2_tail_sums(0.5, 1.0, -0.5, 3)
 
 
 def test_tail_sums_take_numpy_integer_n_max():
