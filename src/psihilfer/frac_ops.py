@@ -37,7 +37,7 @@ from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
                      OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
 from .special_fn import (_check_params, _converged_sum, _ml_terms, log_gamma,
-                         mittag_leffler2)
+                         ml2_tail_sums)
 
 _ZETA_MATCH_TOL = 1e-12
 
@@ -349,6 +349,8 @@ def gronwall_bound(psi: PsiMap, eta: float, a: float, t: float,
 
     For nonnegative data with nondecreasing majorants v, g the solution
     is dominated by v * E[eta, 1](g * Gamma(eta) * (Psi(t)-Psi(a))^eta).
+    E[eta, 1] is 1 plus its tail past k = 0, as in the a-priori bound, so a
+    sum that does not converge raises :class:`SeriesNotConverged`.
     """
     if v_bound < 0 or g_bound < 0:
         raise DomainViolation("majorant values must be nonnegative")
@@ -356,4 +358,4 @@ def gronwall_bound(psi: PsiMap, eta: float, a: float, t: float,
         return 0.0
     x = psi_increment(psi, a, t)
     arg = g_bound * math.exp(log_gamma(eta)) * x ** eta
-    return v_bound * mittag_leffler2(eta, 1.0, arg).value
+    return v_bound * (1.0 + ml2_tail_sums(eta, 1.0, arg, 0)[0])

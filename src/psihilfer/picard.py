@@ -31,7 +31,7 @@ from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
                        WeightedGridFunction, build_grid, hilfer_derivative)
 from .psi_maps import PsiMap, psi_increment
 from .rhs_expr import RhsExpr, lipschitz_estimate
-from .special_fn import log_gamma, mittag_leffler2, ml2_tail_sums
+from .special_fn import _is_int, log_gamma, ml2_tail_sums
 
 #: relative box overshoot tolerated before the solver records a warning
 _BOX_SLACK = 1.1
@@ -288,7 +288,8 @@ def apriori_error_bound_sequence(M: float, L: float, n_max: int,
     """
     raise_on(broken((M, lambda v: v >= 0, "M must be nonnegative"),
                     (L, lambda v: v >= 0, "L must be nonnegative"),
-                    (n_max, lambda v: v >= 0, "n_max must be nonnegative")),
+                    (n_max, lambda v: _is_int(v) and v >= 0,
+                     "n_max must be a nonnegative integer")),
              DomainViolation)
     x = psi_increment(psi, a, a + chi)
     scale = M * math.exp(log_gamma(params.zeta)) / L if L > 0 else 0.0
@@ -316,6 +317,8 @@ def continuous_dependence_bound(y_a: float, z_a: float, L: float,
     the weighting cancels the initial monomials exactly, so the data
     distance is |y_a - z_a| / G(zeta) with no quadrature involved.
     L = 0 yields 2 |y_a - z_a| / G(zeta), since E[eta, zeta](0) = 1/G(zeta).
+    E is 1/G(zeta) plus the tail past k = 0 of the a-priori bound's series,
+    so a sum that does not converge raises :class:`SeriesNotConverged`.
     """
     if not L >= 0:
         raise DomainViolation("L must be nonnegative")
@@ -326,8 +329,8 @@ def continuous_dependence_bound(y_a: float, z_a: float, L: float,
     p = params
     x = psi_increment(psi, a, a + chi)
     gz = math.exp(log_gamma(p.zeta))
-    ml = mittag_leffler2(p.eta, p.zeta, L * x ** p.eta).value
-    return (1.0 + gz * ml) * abs(y_a - z_a) / gz
+    tail = ml2_tail_sums(p.eta, p.zeta, L * x ** p.eta, 0)[0]
+    return (2.0 + gz * tail) * abs(y_a - z_a) / gz
 
 
 def residual_check(problem: CauchyProblem, solution: WeightedGridFunction) -> float:

@@ -76,12 +76,12 @@ def _check_monotone(eval_fn, deriv_fn, domain) -> None:
 
 def _bracketed_inverse(eval_fn, deriv_fn, domain):
     lo, hi = domain
+    f_lo, f_hi = eval_fn(lo), eval_fn(hi)
 
     def inverse(u):
         # The three steps of make_custom_psi, each over all targets at once.
         u_arr = np.asarray(u, dtype=float)
         targets = u_arr.ravel()
-        f_lo, f_hi = eval_fn(lo), eval_fn(hi)
         # NaN fails both comparisons, so non-finite targets are rejected too
         bad = ~((f_lo - targets <= 0) & (f_hi - targets >= 0))
         if bad.any():
@@ -221,12 +221,13 @@ def make_custom_psi(eval_fn, deriv_fn, domain) -> PsiMap:
     ``t -+ max(5e-14, 1 ulp)``, and, only for the nodes that fail it, a
     bisection to a bracket at most 5e-14 wide (or one ulp where doubles
     are coarser) with one Newton step from its midpoint.  So every
-    returned point is within max(5e-14, 1 ulp) of a sign change.  With the
-    true derivative a grid of ``t + 0.4 sin t`` costs 9 or 10 ``eval_fn``
-    calls whatever its size, on [0, 1] as on [600, 601].  A wrong
-    derivative only costs calls, never accuracy: its Newton steps stop
-    early and the certificate sends the nodes to the bisection (51 or 52
-    calls on [0, 2]).  The inverse keeps the input shape and
+    returned point is within max(5e-14, 1 ulp) of a sign change.  The
+    domain ends are evaluated once, here.  With the true derivative a
+    grid of ``t + 0.4 sin t`` then costs 7 or 8 ``eval_fn`` calls
+    whatever its size, on [0, 1] as on [600, 601].  A wrong derivative
+    only costs calls, never accuracy: its Newton steps stop early and the
+    certificate sends the nodes to the bisection (49 or 50 calls on
+    [0, 2]).  The inverse keeps the input shape and
     raises :class:`DomainViolation` for targets that are not finite or
     lie outside ``[eval_fn(lo), eval_fn(hi)]``.
     """
@@ -266,11 +267,3 @@ def psi_increment(psi: PsiMap, a: float, t: float) -> float:
     if t == a:
         return 0.0
     return float(psi.value(t) - psi.value(a))
-
-
-def roundtrip_error(psi: PsiMap, ts) -> float:
-    """Max relative error of inverse(value(t)) over the given points."""
-    ts = np.asarray(ts, dtype=float)
-    back = np.asarray(psi.inverse(psi.value(ts)), dtype=float)
-    scale = np.maximum(1.0, np.abs(ts))
-    return float(np.max(np.abs(back - ts) / scale))

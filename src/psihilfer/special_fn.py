@@ -142,9 +142,10 @@ def _gamma_ratios(x: np.ndarray, step: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def _terms(first: float, z, gamma_arg, step: float, count: int):
+def _terms(first: float, z, gamma_arg, step: float):
     """Yield (t_k, |t_k|) for t_0 = first and t_k = t_{k-1} * z * Gamma(x_k)
-    / Gamma(x_k + step), k = 1..count, where x_k = gamma_arg(k - 1).
+    / Gamma(x_k + step), k = 1, 2, ..., where x_k = gamma_arg(k - 1).
+    The stream has no end of its own: its consumer stops it.
 
     An array z is summed in double precision with each ratio rounded
     once, and |t_k| is an array; any other z runs in extended precision
@@ -158,8 +159,8 @@ def _terms(first: float, z, gamma_arg, step: float, count: int):
     mag = abs(first)
     yield term, np.abs(term) if vector else mag
     k, block = 1, _FIRST_BLOCK
-    while k <= count:
-        stop = min(k - 1 + block, count)
+    while True:
+        stop = k - 1 + block
         # the block's largest Gamma argument, in Python floats so that
         # reaching inf raises here and not as a numpy warning below
         if not math.isfinite(gamma_arg(stop - 1.0) + step):
@@ -184,15 +185,14 @@ def _terms(first: float, z, gamma_arg, step: float, count: int):
         block *= 2
 
 
-def _ml_terms(eta: float, nu: float, z, count: int = DEFAULT_SERIES_PARAMS.max_terms):
+def _ml_terms(eta: float, nu: float, z):
     """Terms z^k / Gamma(k*eta + nu) of E[eta, nu](z)."""
-    return _terms(math.exp(-log_gamma(nu)), z, lambda j: j * eta + nu, eta, count)
+    return _terms(math.exp(-log_gamma(nu)), z, lambda j: j * eta + nu, eta)
 
 
-def _ks_terms(eta: float, m: float, l: float, z,
-              count: int = DEFAULT_SERIES_PARAMS.max_terms):
+def _ks_terms(eta: float, m: float, l: float, z):
     """Terms c_k z^k of E[eta, m, l](z)."""
-    return _terms(1.0, z, lambda j: eta * (j * m + l) + 1.0, eta, count)
+    return _terms(1.0, z, lambda j: eta * (j * m + l) + 1.0, eta)
 
 
 def _sum_to_tolerance(terms, policy: MLSeriesParams = DEFAULT_SERIES_PARAMS):
@@ -247,7 +247,7 @@ def mittag_leffler2(eta: float, nu: float, z: float,
     _check_params(z, eta=eta, nu=nu)
     if z == 0.0:
         return SeriesResult(math.exp(-log_gamma(nu)), 1, 0.0, True)
-    return _series_result(_ml_terms(eta, nu, _LD(z), policy.max_terms), policy)
+    return _series_result(_ml_terms(eta, nu, _LD(z)), policy)
 
 
 def kilbas_saigo(eta: float, m: float, l: float, z: float,
@@ -261,7 +261,7 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
     _check_params(z, l, eta=eta, m=m)
     if z == 0.0:
         return SeriesResult(1.0, 1, 0.0, True)
-    return _series_result(_ks_terms(eta, m, l, _LD(z), policy.max_terms), policy)
+    return _series_result(_ks_terms(eta, m, l, _LD(z)), policy)
 
 
 def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
@@ -269,7 +269,7 @@ def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
     _check_params(l=l, eta=eta, m=m)
     if not _is_int(count) or count < 0:
         raise DomainViolation(f"count must be a nonnegative integer, got {count!r}")
-    return np.fromiter((t for t, _ in _ks_terms(eta, m, l, _LD(1.0), count)),
+    return np.fromiter((t for t, _ in _ks_terms(eta, m, l, _LD(1.0))),
                        dtype=float, count=count + 1)
 
 
@@ -291,9 +291,7 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int) -> np.ndarray:
     used = _converged_sum(itertools.islice(stream, n_max + 2, None), _TAIL_PARAMS)[1]
     terms = [t for t, _ in itertools.islice(kept, n_max + 2 + used)]
     running = np.cumsum(np.array(terms[:0:-1], dtype=_LD))[::-1]
-    tails = np.zeros(n_max + 1)
-    tails[:len(running)] = running[:n_max + 1]
-    return tails
+    return running[:n_max + 1].astype(float)
 
 
 def ks_array(eta: float, m: float, l: float, z: np.ndarray) -> np.ndarray:

@@ -517,7 +517,7 @@ MALFORMED = {
         "the solve interval [a, a + chi] is empty: chi = 0.0"),
     "bounds-n-iter-negative": (lambda d: [
         "bounds", _write_config(d / "c.json"), "--norm-f", "0", "--n-iter", "-5"],
-        "n_max must be nonnegative"),
+        "n_max must be a nonnegative integer"),
     "frint-psi-unknown": (lambda d: [
         *_frint_input(d, [(0, 0), (0.5, 0.25), (1, 1)]), "--psi", "cosh"],
         "argument --psi: invalid choice: 'cosh'"),
@@ -614,6 +614,20 @@ def test_bounds_subcommand_chi(tmp_path, capsys):
     assert float(values["zeta"]) == 0.75
     apriori = [float(v) for k, v in values.items() if k.startswith("apriori")]
     assert all(b > a for a, b in zip(apriori[1:], apriori))
+
+
+def test_long_bounds_and_solve_outlast_the_series_term_count(tmp_path, capsys):
+    # 10 000 a-priori tails and a 10 000-step solve: the bound series still
+    # converge, and only max_iter ends the solve, after its outputs
+    out = tmp_path / "o.csv"
+    cfg = _write_config(tmp_path / "c.json", eta=0.6, nu=0.4, n=16, tol=1e-300,
+                        max_iter=10_000, horizon=1.0, output_path=str(out))
+    assert main(["bounds", cfg, "--n-iter", "10000"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("apriori[") for line in lines) == 10_001
+    assert main(["solve", cfg]) == EXIT_NUMERICAL
+    assert "did not converge within max_iter" in capsys.readouterr().err
+    assert out.exists() and (tmp_path / "o.csv.report.json").exists()
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 512])

@@ -262,9 +262,12 @@ def test_continuous_dependence_at_zero_lipschitz_constant():
 
 @pytest.mark.parametrize("M, L", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
 def test_apriori_rejects_negative_n_max(M, L):
-    with pytest.raises(DomainViolation, match="n_max must be nonnegative"):
-        apriori_error_bound_sequence(M, L, -2, OrderParams(0.6, 0.4),
-                                     IDENT, 0.0, 1.0)
+    # the rule of ml2_tail_sums, on every path: a float or a bool is refused
+    for n_max in (-2, 2.5, True):
+        with pytest.raises(DomainViolation,
+                           match="n_max must be a nonnegative integer"):
+            apriori_error_bound_sequence(M, L, n_max, OrderParams(0.6, 0.4),
+                                         IDENT, 0.0, 1.0)
 
 
 def test_apriori_is_zero_on_a_collapsed_interval():
@@ -285,3 +288,30 @@ def test_l_override_replaces_the_estimate():
     assert m_over - m_est == pytest.approx(slack, rel=1e-12)
     _, report = picard_solve(prob, n=64, L_override=2.0, horizon=0.5)
     assert report.L_used == 2.0
+
+
+def test_a_long_solve_ends_unconverged_not_in_its_bound_series():
+    # the a-priori tails past 10 000 iterations still converge: the report,
+    # not a SeriesNotConverged, says that max_iter ended the solve
+    _, report = picard_solve(_problem(), n=16, tol=1e-300, max_iter=10_000,
+                             horizon=1.0)
+    assert not report.converged and report.iterations == 10_000
+    assert len(report.apriori_bounds) == 10_001
+
+
+@pytest.mark.parametrize("cases", [
+    [("identity", (), 1.0, "-1*y"), ("power", (2.0,), 1.0, "-1*y"),
+     ("exp", (), math.log(2.0), "-1*y")],
+    [("identity", (), 1.0, "-sqrt(t)*y"), ("power", (2.0,), 1.0, "-t*y")],
+], ids=["autonomous", "time-dependent"])
+def test_solve_sees_psi_only_through_its_node_times(cases):
+    # the same X range gives the same Psi-uniform nodes, so the discrete
+    # solve is bit-identical; identity with f(u) is power(2) with f(sqrt t)
+    solutions = []
+    for kind, params, b, rhs in cases:
+        prob = CauchyProblem(psi=make_psi(kind, params, (0.0, b)),
+                             params=OrderParams(0.6, 0.4), a=0.0, xi=b,
+                             y_a=1.0, rhs=parse(rhs), k_box=1.0)
+        solutions.append(picard_solve(prob, n=256, horizon=b)[0].w)
+    for w in solutions[1:]:
+        assert np.array_equal(w, solutions[0])

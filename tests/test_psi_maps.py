@@ -8,7 +8,12 @@ from psihilfer import (DomainViolation, NonMonotone, build_grid,
                        make_custom_psi, make_psi, psi_from_config,
                        psi_increment)
 from psihilfer import psi_maps
-from psihilfer.psi_maps import roundtrip_error
+
+
+def _roundtrip_error(psi, ts):
+    # max relative error of inverse(value(t)) over the given points
+    back = np.asarray(psi.inverse(psi.value(ts)), dtype=float)
+    return float(np.max(np.abs(back - ts) / np.maximum(1.0, np.abs(ts))))
 
 
 def test_identity_values():
@@ -31,7 +36,7 @@ def test_log_map_values():
 
 def test_exp_map_roundtrip():
     psi = make_psi("exp", (), (-1.0, 1.0))
-    assert roundtrip_error(psi, np.linspace(-1, 1, 100)) < 1e-12
+    assert _roundtrip_error(psi, np.linspace(-1, 1, 100)) < 1e-12
 
 
 def test_log_requires_positive_start():
@@ -355,7 +360,7 @@ def test_roundtrip_1000_points(kind, params, domain):
     psi = make_psi(kind, params, domain)
     rng = np.random.default_rng(20240131)
     ts = domain[0] + rng.random(1000) * (domain[1] - domain[0])
-    assert roundtrip_error(psi, ts) <= 1e-12
+    assert _roundtrip_error(psi, ts) <= 1e-12
 
 
 @pytest.mark.parametrize("kind,params,domain", [

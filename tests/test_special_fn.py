@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
-from psihilfer import (DomainViolation, MLSeriesParams, OverflowGuard,
-                       ParamViolation, SeriesNotConverged, kilbas_saigo,
-                       ks_coefficients, log_gamma, mittag_leffler2)
+from psihilfer import (DomainViolation, MLSeriesParams, OrderParams,
+                       OverflowGuard, ParamViolation, SeriesNotConverged,
+                       continuous_dependence_bound, gronwall_bound,
+                       kilbas_saigo, ks_coefficients, log_gamma, make_psi,
+                       mittag_leffler2)
 from psihilfer.frac_ops import _abel_kernels
 from psihilfer.special_fn import ks_array, ml2_array, ml2_tail_sums
 
@@ -145,13 +147,20 @@ def test_ml_not_converged_flag():
 
 # E[1e-3, 1](0.9999) is 2011.300463 (30 digits) and needs far more than
 # 10 000 terms: the scalar evaluator flags it, and the sums that report no
-# flag raise instead of returning 2011.300422
+# flag raise instead of returning 2011.300422, as do the two certificates
+# built on them
 @pytest.mark.parametrize("evaluate", [
     lambda: ml2_array(1e-3, 1.0, np.array([0.5, 0.9999])),
     lambda: ks_array(1e-3, 1.0, 0.0, np.array([0.9999])),
     lambda: ml2_tail_sums(1e-3, 1.0, 0.9999, 5),
     lambda: _abel_kernels(1e-3, 8, np.full(9, 0.9999)),
-], ids=["ml2_array", "ks_array", "ml2_tail_sums", "resolvent-moments"])
+    lambda: continuous_dependence_bound(1.0, 1.1, 0.9999, OrderParams(1e-3, 1.0),
+                                        make_psi("identity", (), (0.0, 1.0)),
+                                        0.0, 1.0),
+    lambda: gronwall_bound(make_psi("identity", (), (0.0, 1.0)), 1e-3, 0.0, 1.0,
+                           1.0, 0.9999 / math.gamma(1e-3)),
+], ids=["ml2_array", "ks_array", "ml2_tail_sums", "resolvent-moments",
+        "continuous_dependence_bound", "gronwall_bound"])
 def test_unconverged_sum_without_a_flag_raises(evaluate):
     assert not mittag_leffler2(1e-3, 1.0, 0.9999).converged
     with pytest.raises(SeriesNotConverged, match="within 10000 terms"):
@@ -261,6 +270,14 @@ def test_tail_sums_decrease_and_match_series():
     total = mittag_leffler2(eta, nu, z).value
     partial = sum(z ** k * math.exp(-log_gamma(k * eta + nu)) for k in range(11))
     assert abs(tails[10] - (total - partial)) < 1e-11
+
+
+def test_tail_sums_run_past_the_policy_term_count():
+    # the term stream has no bound of its own: tails to n_max = 20 000 reach
+    # past 10 000 terms and start with the same blocks as a short call
+    long = ml2_tail_sums(0.6, 0.8, 1.0, 20_000)
+    assert len(long) == 20_001
+    assert np.array_equal(long[:51], ml2_tail_sums(0.6, 0.8, 1.0, 50))
 
 
 def _mp_tail_sums(mpmath, eta, nu, z, n_max):
