@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from psihilfer import (DomainViolation, MLSeriesParams, OrderParams,
                        kilbas_saigo, ks_coefficients, log_gamma, make_psi,
                        mittag_leffler2)
 from psihilfer.frac_ops import _abel_kernels
-from psihilfer.special_fn import ks_array, ml2_array, ml2_tail_sums
+from psihilfer.special_fn import (SeriesResult, _gamma_ratios, ks_array, ml2_array,
+                                  ml2_tail_sums)
 
 # ln Gamma at the classical check points, 30-digit values
 LN_SQRT_PI = 0.5723649429247000870717136757
@@ -247,6 +252,18 @@ def test_ks_c2_hand_value():
     assert abs(c[2] - 1.0) < 1e-14
 
 
+def test_series_past_the_double_range_reads_only_finite_gamma_arguments():
+    # eta*(j*m + l) + 1 is finite for j <= 8 only: the first ratio block
+    # keeps those nine arguments, and only a term that needs j = 9 raises
+    assert ks_coefficients(1.0, 2e307, 0.0, 5).tolist() == \
+        [1.0, 1.0, 5.000000000000001e-308, 0.0, 0.0, 0.0]
+    assert kilbas_saigo(1.0, 2e307, 0.0, 1e-300) == SeriesResult(1.0, 4, 0.0, True)
+    assert ks_coefficients(1.0, 2e307, 0.0, 9)[-1] == 0.0
+    with pytest.raises(OverflowGuard, match="^a Gamma argument of the series "
+                                            "exceeds the floating-point range$"):
+        ks_coefficients(1.0, 2e307, 0.0, 10)
+
+
 def test_ks_rejects_nonpositive_gamma_argument():
     # eta*(0*m + l) + 1 = -0.5 on the very first factor
     with pytest.raises(ParamViolation):
@@ -349,3 +366,110 @@ def test_ks_coefficient_partial_sums_match_series(eta, m, l):
         partial = sum(ck * z ** k for k, ck in enumerate(c))
         value = kilbas_saigo(eta, m, l, z).value
         assert abs(partial - value) <= 1e-11 * abs(value)
+
+
+# one call per evaluator; the ml and ks rows share (eta, nu) and (eta, m, l),
+# so a warm memo hands each the blocks another one computed
+MEMO_CALLS = {
+    "mittag_leffler2": lambda: mittag_leffler2(0.6, 0.76, -3.5),
+    "kilbas_saigo": lambda: kilbas_saigo(0.6, 1.5, 0.2, 2.0),
+    "ks_coefficients": lambda: ks_coefficients(0.6, 1.5, 0.2, 40),
+    "ml2_tail_sums": lambda: ml2_tail_sums(0.6, 0.76, 1.1, 60),
+    "ks_array": lambda: ks_array(0.6, 1.5, 0.2, np.linspace(-1.5, 2.5, 17)),
+    "ml2_array": lambda: ml2_array(0.6, 0.76, np.linspace(-1.5, 2.5, 17)),
+    "resolvent-moments": lambda: _abel_kernels(0.6, 64, np.linspace(0.0, -4.0, 65)),
+}
+
+
+def _identical(a, b):
+    if isinstance(a, SeriesResult):
+        return a == b
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+    return np.array_equal(a, b)
+
+
+def test_memoized_ratio_tables_change_no_result():
+    cold = {}
+    for name, call in MEMO_CALLS.items():
+        _gamma_ratios.cache_clear()
+        cold[name] = call()
+    for call in MEMO_CALLS.values():
+        call()
+    hits = _gamma_ratios.cache_info().hits
+    for name, call in MEMO_CALLS.items():
+        assert _identical(call(), cold[name]), name
+    assert _gamma_ratios.cache_info().hits > hits
+
+
+def test_same_orders_at_a_new_argument_compute_no_table():
+    _gamma_ratios.cache_clear()
+    first = mittag_leffler2(0.3, 0.76, 4.0)
+    misses = _gamma_ratios.cache_info().misses
+    second = mittag_leffler2(0.3, 0.76, -1.5)
+    assert second.terms_used < first.terms_used
+    assert _gamma_ratios.cache_info().misses == misses
+
+
+def test_an_order_of_another_type_keeps_its_own_tables():
+    # the Gamma arguments of a float32 order and of its float64 value have
+    # the same bytes, but the float32 step rounds x + step differently
+    eta = np.float32(0.3)
+    _gamma_ratios.cache_clear()
+    cold = mittag_leffler2(eta, 0.5, 1.0)
+    _gamma_ratios.cache_clear()
+    assert mittag_leffler2(float(eta), 0.5, 1.0) != cold
+    assert mittag_leffler2(eta, 0.5, 1.0) == cold
+
+
+@pytest.mark.parametrize("step", [0.6, 2.0])
+def test_memoized_tables_are_read_only(step):
+    table = _gamma_ratios(np.array([0.5, 1.5, 2.5]).tobytes(), step)
+    assert table.dtype == np.longdouble and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+
+
+def test_threads_sharing_the_memo_get_the_serial_results():
+    # 100 orders x 2 arguments touch more blocks than the memo keeps, so
+    # the threads also race on evictions
+    calls = [(eta, nu, z) for eta, nu in zip(np.linspace(0.3, 1.0, 100).tolist(),
+                                             np.linspace(0.4, 1.7, 100).tolist())
+             for z in (-2.0, 3.0)]
+    run = lambda: [mittag_leffler2(*c) for c in calls]  # noqa: E731
+    _gamma_ratios.cache_clear()
+    serial = run()
+    _gamma_ratios.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
+
+
+REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "benchmark" / "reference_table.json"
+
+
+def test_lattice_points_recorded_correct_stay_correct():
+    # the benchmark's tabulated ml/ks lattice (mpmath references): every point
+    # the table records as right must stay converged and within the
+    # benchmark's rule; the recorded defects are not asserted either way.
+    # 240 points were right when this test was written; a table that
+    # records fewer has lost one
+    with open(REFERENCE_TABLE, encoding="utf-8") as fh:
+        points = [p for p in json.load(fh)["points"]
+                  if p["kind"] in ("ml", "ks") and p["baseline"] == "ok"]
+    assert len(points) >= 240
+    wrong = []
+    for p in points:
+        res = (mittag_leffler2(p["eta"], p["nu"], p["z"]) if p["kind"] == "ml"
+               else kilbas_saigo(p["eta"], p["m"], p["l"], p["z"]))
+        ref, diff = p["ref"], abs(res.value - p["ref"])
+        if not (res.converged and (diff <= 1e-10 * abs(ref)
+                                   or (abs(ref) < 1e-2 and diff <= 1e-12))):
+            wrong.append((p["id"], res.value, ref))
+    assert not wrong
