@@ -25,7 +25,8 @@ from .errors import (ConfigParseError, ExprDomainError, ExprSyntaxError,
                      ValidationError)
 from .frac_ops import FracIntegralOperator, OrderParams, build_grid
 from .psi_maps import _KIND_ARITY, make_psi, psi_from_config
-from .special_fn import MLSeriesParams, kilbas_saigo, mittag_leffler2
+from .special_fn import (DEFAULT_SERIES_PARAMS, MLSeriesParams, kilbas_saigo,
+                         mittag_leffler2)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -350,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--m", type=float)
     p_ml.add_argument("--l", type=float)
     p_ml.add_argument("--z", type=float, required=True)
-    p_ml.add_argument("--rel-tol", type=float, default=1e-12)
-    p_ml.add_argument("--max-terms", type=int, default=10_000)
+    series = DEFAULT_SERIES_PARAMS
+    p_ml.add_argument("--rel-tol", type=float, default=series.rel_tol)
+    p_ml.add_argument("--max-terms", type=int, default=series.max_terms)
     p_ml.set_defaults(func=_cmd_ml)
 
     p_b = sub.add_parser("bounds", help="print existence and error bounds")

@@ -36,11 +36,7 @@ class ParamViolation(PsiHilferError):
     """A parameter combination makes a Gamma factor undefined."""
 
 
-class ExprError(PsiHilferError):
-    """Base class for expression parsing/evaluation errors."""
-
-
-class ExprSyntaxError(ExprError):
+class ExprSyntaxError(PsiHilferError):
     """Malformed expression text.
 
     ``offset`` is the byte offset of the offending token.
@@ -55,7 +51,7 @@ class UnknownIdentifier(ExprSyntaxError):
     """Identifier other than t, y or a known function name."""
 
 
-class ExprDomainError(ExprError):
+class ExprDomainError(PsiHilferError):
     """Evaluation hit a point where the expression is undefined.
 
     ``offset`` locates the AST node whose operation failed.

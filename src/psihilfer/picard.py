@@ -80,7 +80,8 @@ class SolveReport:
     ``chi`` is the horizon actually solved on; ``chi_formula`` the value
     produced by the existence-interval formula with the measured M.
     When the Lipschitz estimate is zero the bounds arrays hold the
-    L -> 0 limits.
+    L -> 0 limits.  The m-th iterate w_m itself is the solution of
+    ``picard_solve(..., max_iter=m)``, bit for bit.
     """
 
     iterations: int = 0
@@ -94,7 +95,6 @@ class SolveReport:
     chi_formula: float = 0.0
     box_exit: bool = False
     y0_gap_ratios: list = field(default_factory=list)
-    history: list | None = None
 
 
 def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
@@ -205,7 +205,7 @@ def estimate_constants(problem: CauchyProblem, n: int,
 
 def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
                  max_iter: int = 200, L_override: float | None = None,
-                 horizon: float | None = None, keep_history: bool = False,
+                 horizon: float | None = None
                  ) -> tuple[WeightedGridFunction, SolveReport]:
     """Iterate the integral map until the weighted increment drops below tol.
 
@@ -237,11 +237,8 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     x_eta = grid.x_pow(p.eta)
 
     report = SolveReport(chi=chi_used, chi_formula=chi_formula,
-                         M_used=m_used, L_used=l_used,
-                         history=[] if keep_history else None)
+                         M_used=m_used, L_used=l_used)
     w = np.full(n + 1, w0c)
-    if keep_history:
-        report.history.append(w.copy())
     with np.errstate(all="ignore"):  # a non-finite iterate raises below
         for _ in range(max_iter):
             w_new = picard_step(problem.rhs, op, w0c, w)
@@ -257,8 +254,6 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
                 report.box_exit = True
             w = w_new
             report.iterations += 1
-            if keep_history:
-                report.history.append(w.copy())
             if delta <= tol:
                 report.converged = True
                 break

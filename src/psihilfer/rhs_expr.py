@@ -253,7 +253,6 @@ class RhsExpr:
     """A parsed right-hand-side expression over the variables t and y."""
 
     root: object
-    text: str = field(compare=False, default="")
 
     def eval(self, t: float, y: float) -> float:
         out = _eval_array(self.root, np.asarray(float(t)), np.asarray(float(y)))
@@ -285,7 +284,7 @@ def parse(text: str) -> RhsExpr:
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return RhsExpr(_Parser(text).parse(), text)
+    return RhsExpr(_Parser(text).parse())
 
 
 def _halton(count: int, base: int) -> np.ndarray:

@@ -30,7 +30,6 @@ pure and safe for concurrent use.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -44,7 +43,6 @@ from .errors import DomainViolation, OverflowGuard, ParamViolation, SeriesNotCon
 # representable result and signals an argument outside the supported range
 _LOG_HUGE = 700.0
 _LD = np.longdouble
-_LOG_LD_MAX = float(np.log(np.finfo(_LD).max))
 _FIRST_BLOCK = 16
 
 
@@ -153,8 +151,7 @@ def _gamma_ratios(args: bytes, step: float) -> np.ndarray:
         xi = x.astype(_LD)
         denom = np.ones_like(xi)
         # a product past the extended range is inf, and 1/inf = 0 the right ratio
-        past_range = p * math.log(float(x.max()) + p) > _LOG_LD_MAX
-        with np.errstate(over="ignore") if past_range else contextlib.nullcontext():
+        with np.errstate(over="ignore"):
             for _ in range(p):
                 denom *= xi
                 xi += 1

@@ -139,11 +139,14 @@ def test_apriori_bounds_dominate_and_decrease():
     params = OrderParams(0.6, 0.4)
     problem = CauchyProblem(psi=psi, params=params, a=0.0, xi=1.0, y_a=1.0,
                             rhs=parse("-1*y"), k_box=1.0)
-    solution, report = picard_solve(problem, n=512, horizon=1.0,
-                                    keep_history=True)
+    solution, report = picard_solve(problem, n=512, horizon=1.0)
     assert report.converged
     final = solution.w
-    for m, iterate in enumerate(report.history[:-1]):
+    # the m-th iterate is the solve cut off after m steps; w_0 the start
+    w0c = problem.y_a * math.exp(-log_gamma(params.zeta))
+    for m in range(report.iterations):
+        iterate = (np.full_like(final, w0c) if m == 0 else
+                   picard_solve(problem, n=512, horizon=1.0, max_iter=m)[0].w)
         measured = np.max(np.abs(final - iterate))
         assert measured <= report.apriori_bounds[m] * 1.1, m
     seq = apriori_error_bound_sequence(report.M_used, report.L_used, 60,

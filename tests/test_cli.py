@@ -152,8 +152,10 @@ def test_solve_writes_csv_and_report(tmp_path):
     report = json.loads((tmp_path / "sol.csv.report.json").read_text())
     assert report["converged"] is True
     assert report["iterations"] >= 1
-    assert set(report) >= {"chi", "iterations", "deltas", "apriori_bounds",
-                           "residual", "M_used", "L_used"}
+    # the keys README lists, no more and no fewer
+    assert set(report) == {"chi", "chi_formula", "iterations", "deltas",
+                           "apriori_bounds", "residual", "M_used", "L_used",
+                           "converged", "box_exit"}
 
 
 def test_solve_reports_the_l_override(tmp_path):

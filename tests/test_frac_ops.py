@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psihilfer import (DomainViolation, FracIntegralOperator, GridMismatch,
-                       GridTooCoarse, OrderParams, WeightedGridFunction,
-                       build_grid, gronwall_bound, hilfer_derivative,
-                       make_psi, monomial_oracle)
+                       GridTooCoarse, OrderParams, OverflowGuard,
+                       WeightedGridFunction, build_grid, gronwall_bound,
+                       hilfer_derivative, make_psi, monomial_oracle)
 from psihilfer.frac_ops import _abel_kernels
 
 G_15_OVER_G_2 = 0.8862269254527580137  # Gamma(1.5)/Gamma(2) = sqrt(pi)/2
@@ -363,6 +363,12 @@ GRID32 = build_grid(IDENT, 0.0, 1.0, 32)
     (lambda: build_grid(IDENT, 0.0, 1.0, 0), GridTooCoarse, "at least one panel"),
     (lambda: build_grid(IDENT, 0.5, 0.5, 8), DomainViolation, "need a < b"),
     (lambda: build_grid(IDENT, 0.75, 0.25, 8), DomainViolation, "need a < b"),
+    # an interval two ulps wide cannot hold 7 distinct inner nodes
+    (lambda: build_grid(make_psi("identity", (), (0.0, 2.0)), 1.0, 1.0 + 4e-16, 8),
+     DomainViolation, "grid nodes are not strictly increasing"),
+    (lambda: FracIntegralOperator(
+        build_grid(make_psi("identity", (), (0.0, 1e12)), 0.0, 1e12, 1), 30.0),
+     OverflowGuard, "order-30.0 weights on this grid exceed"),
     (lambda: WeightedGridFunction(GRID32, 0.75, np.ones(32)), GridMismatch,
      "expected 33 samples"),
     (lambda: WeightedGridFunction(GRID32, 0.75, np.full(33, np.nan)),
@@ -374,7 +380,8 @@ GRID32 = build_grid(IDENT, 0.0, 1.0, 32)
      "nonnegative"),
     (lambda: gronwall_bound(IDENT, 0.7, 0.0, 1.0, 1.0, -1.0), DomainViolation,
      "nonnegative"),
-], ids=["grid-n-0", "grid-a-equals-b", "grid-a-above-b", "samples-short",
+], ids=["grid-n-0", "grid-a-equals-b", "grid-a-above-b",
+        "grid-nodes-coincide", "operator-scale-overflows", "samples-short",
         "samples-nan", "hilfer-zeta-mismatch", "gronwall-negative-v",
         "gronwall-negative-g"])
 def test_malformed_arguments_rejected(call, error, match):

@@ -10,6 +10,7 @@ from psihilfer import (CauchyProblem, DomainViolation, FracIntegralOperator,
                        make_psi, parse, picard_solve, picard_step,
                        residual_check, solve_constant)
 from psihilfer.picard import estimate_constants
+from psihilfer.special_fn import log_gamma
 
 IDENT = make_psi("identity", (), (0.0, 2.0))
 
@@ -83,12 +84,32 @@ def test_increment_cascade():
 
 
 def test_apriori_bounds_dominate_history():
+    # w_0 is the constant start, and w_m the solve cut off after m steps
     prob = _problem()
-    sol, rep = picard_solve(prob, n=512, horizon=1.0, keep_history=True)
-    final = sol.w
-    for m, iterate in enumerate(rep.history[:-1]):
-        measured = np.max(np.abs(final - iterate))
+    sol, rep = picard_solve(prob, n=512, horizon=1.0)
+    w0c = prob.y_a * math.exp(-log_gamma(prob.params.zeta))
+    for m in range(rep.iterations):
+        iterate = (np.full_like(sol.w, w0c) if m == 0 else
+                   picard_solve(prob, n=512, horizon=1.0, max_iter=m)[0].w)
+        measured = np.max(np.abs(sol.w - iterate))
         assert measured <= rep.apriori_bounds[m] * 1.1
+
+
+def test_truncated_solve_returns_each_iterate_of_the_full_solve():
+    prob = _problem()
+    p = prob.params
+    sol, rep = picard_solve(prob, n=512, horizon=1.0)
+    assert rep.converged and rep.iterations > 10
+    op = FracIntegralOperator(sol.grid, p.eta, zeta=p.zeta)
+    w0c = prob.y_a * math.exp(-log_gamma(p.zeta))
+    w = np.full_like(sol.w, w0c)
+    for m in range(1, rep.iterations + 1):
+        w = picard_step(prob.rhs, op, w0c, w)
+        cut, cut_rep = picard_solve(prob, n=512, horizon=1.0, max_iter=m)
+        assert np.array_equal(cut.w, w), m
+        assert cut_rep.weighted_deltas == rep.weighted_deltas[:m]
+        assert cut_rep.iterations == m
+    assert np.array_equal(w, sol.w)
 
 
 def test_apriori_sequence_strictly_decreasing():

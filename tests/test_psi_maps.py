@@ -91,6 +91,12 @@ def test_custom_decreasing_rejected():
     with pytest.raises(NonMonotone):
         make_custom_psi(lambda t: -np.asarray(t), lambda t: -np.ones_like(np.asarray(t)),
                         (0.0, 1.0))
+    # a positive derivative does not hide values that decrease
+    with pytest.raises(NonMonotone,
+                       match="sampled transform values are not strictly increasing"):
+        make_custom_psi(lambda t: -np.asarray(t, dtype=float),
+                        lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                        (0.0, 1.0))
 
 
 def test_custom_bisection_inverse():
