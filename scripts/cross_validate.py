@@ -44,7 +44,7 @@ def main():
                 gap = np.max(np.abs(sol.w - ref.w))
                 bound = rep.apriori_bounds[-1] if rep.apriori_bounds else float("nan")
                 print(f"{kind:>8} {eta:5.2f} {nu:5.2f} {gap:10.2e} "
-                      f"{rep.iterations:>6} {rep.residual_norm:10.2e} "
+                      f"{rep.iterations:>6} {rep.residual:10.2e} "
                       f"{bound:11.2e}")
 
 

@@ -11,11 +11,11 @@ value), 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ _CONFIG_KEYS = (*SOLVE_KEYS, "tol", "max_iter", "L_override", "lambda", "mu",
                 "forcing", "output_path", "horizon")
 
 
-@dataclass
+@dataclasses.dataclass
 class ProblemConfig:
     """A validated config: its subcommand's problem and solve settings."""
 
@@ -177,21 +177,10 @@ def _cmd_solve(args) -> int:
         cfg.problem, n=cfg.n, tol=cfg.tol, max_iter=cfg.max_iter,
         L_override=cfg.L_override, horizon=cfg.horizon)
     _emit_solution(cfg.output_path, solution)
-    side_car = {
-        "chi": report.chi,
-        "chi_formula": report.chi_formula,
-        "iterations": report.iterations,
-        "deltas": list(report.weighted_deltas),
-        "apriori_bounds": list(report.apriori_bounds),
-        "residual": report.residual_norm,
-        "M_used": report.M_used,
-        "L_used": report.L_used,
-        "converged": report.converged,
-        "box_exit": report.box_exit,
-    }
     with open(cfg.output_path + ".report.json", "w", encoding="utf-8",
               newline="") as fh:
-        fh.write(json.dumps(side_car, indent=2, allow_nan=True) + "\n")
+        fh.write(json.dumps(dataclasses.asdict(report), indent=2,
+                            allow_nan=True) + "\n")
     if not report.converged:
         _fail("numerical", "iteration did not converge within max_iter")
         return EXIT_NUMERICAL

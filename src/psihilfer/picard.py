@@ -21,7 +21,7 @@ super-geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,32 +69,31 @@ class CauchyProblem:
         return problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
-    """Telemetry of one solve.
+    """Certificates of one solve: the ``report.json`` schema, whose keys
+    are these fields in declaration order.
 
-    ``weighted_deltas[m]`` is the weighted norm of the m-th increment,
+    ``deltas[m]`` is the weighted norm of the (m+1)-th increment and
     ``apriori_bounds[m]`` the guaranteed distance to the true solution
-    after m iterations, and ``y0_gap_ratios[m]`` the measured maximum of
-    |w_m - w_0| / (Psi(t)-Psi(a))^eta used by the first-iterate bound.
-    ``chi`` is the horizon actually solved on; ``chi_formula`` the value
-    produced by the existence-interval formula with the measured M.
-    When the Lipschitz estimate is zero the bounds arrays hold the
-    L -> 0 limits.  The m-th iterate w_m itself is the solution of
-    ``picard_solve(..., max_iter=m)``, bit for bit.
+    after m iterations.  ``chi`` is the horizon actually solved on;
+    ``chi_formula`` the value produced by the existence-interval formula
+    with the measured M.  When the Lipschitz estimate is zero the bounds
+    hold the L -> 0 limits.  ``residual`` is NaN below n = 256.  The
+    m-th iterate itself is the solution of ``picard_solve(...,
+    max_iter=m)``, bit for bit.
     """
 
-    iterations: int = 0
-    chi: float = 0.0
-    weighted_deltas: list = field(default_factory=list)
-    apriori_bounds: list = field(default_factory=list)
-    residual_norm: float = float("nan")
-    converged: bool = False
-    M_used: float = 0.0
-    L_used: float = 0.0
-    chi_formula: float = 0.0
-    box_exit: bool = False
-    y0_gap_ratios: list = field(default_factory=list)
+    chi: float
+    chi_formula: float
+    iterations: int
+    deltas: list
+    apriori_bounds: list
+    residual: float
+    M_used: float
+    L_used: float
+    converged: bool
+    box_exit: bool
 
 
 def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
@@ -102,8 +101,9 @@ def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
 
     chi = min(xi, Psi^{-1}[Psi(a) + (k * G(eta+zeta) / (G(zeta) * norm_f))^(1/eta)] - a)
 
-    with norm_f the weighted sup of the right-hand side.  A zero bound
-    leaves the box unconstrained, so chi = xi.
+    with norm_f the weighted sup of the right-hand side.  A zero bound,
+    or an offset beyond the floating-point range, leaves the box
+    unconstrained, so chi = xi.
     """
     if not 0 <= norm_f < math.inf:
         raise DomainViolation(f"norm_f must be finite and >= 0, got {norm_f!r}")
@@ -113,7 +113,10 @@ def existence_interval(problem: CauchyProblem, norm_f: float) -> float:
     log_amp = (math.log(problem.k_box)
                + log_gamma(p.eta + p.zeta) - log_gamma(p.zeta)
                - math.log(norm_f))
-    offset = math.exp(log_amp / p.eta)
+    try:
+        offset = math.exp(log_amp / p.eta)
+    except OverflowError:
+        return problem.xi
     u_a = float(problem.psi.value(problem.a))
     u_xi = float(problem.psi.value(problem.a + problem.xi))
     if u_a + offset >= u_xi:
@@ -234,10 +237,8 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
 
     grid = build_grid(problem.psi, problem.a, problem.a + chi_used, n)
     op = FracIntegralOperator(grid, p.eta, zeta=p.zeta)
-    x_eta = grid.x_pow(p.eta)
 
-    report = SolveReport(chi=chi_used, chi_formula=chi_formula,
-                         M_used=m_used, L_used=l_used)
+    deltas, box_exit = [], False
     w = np.full(n + 1, w0c)
     with np.errstate(all="ignore"):  # a non-finite iterate raises below
         for _ in range(max_iter):
@@ -245,25 +246,24 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
             delta = float(np.max(np.abs(w_new - w)))
             if not math.isfinite(delta):
                 raise OverflowGuard(
-                    f"iteration {report.iterations + 1} exceeds the "
+                    f"iteration {len(deltas) + 1} exceeds the "
                     f"floating-point range: weighted increment {delta!r}")
-            gap = np.abs(w_new - w0c)
-            report.weighted_deltas.append(delta)
-            report.y0_gap_ratios.append(float(np.max(gap[1:] / x_eta[1:])))
-            if float(np.max(gap)) > _BOX_SLACK * problem.k_box:
-                report.box_exit = True
+            deltas.append(delta)
+            if float(np.max(np.abs(w_new - w0c))) > _BOX_SLACK * problem.k_box:
+                box_exit = True
             w = w_new
-            report.iterations += 1
             if delta <= tol:
-                report.converged = True
                 break
 
     solution = WeightedGridFunction(grid, p.zeta, w)
-    report.apriori_bounds = list(apriori_error_bound_sequence(
-        m_used, l_used, report.iterations, p, problem.psi,
-        problem.a, chi_used))
-    if n >= 256:
-        report.residual_norm = residual_check(problem, solution)
+    report = SolveReport(
+        chi=chi_used, chi_formula=chi_formula, iterations=len(deltas),
+        deltas=deltas,
+        apriori_bounds=list(apriori_error_bound_sequence(
+            m_used, l_used, len(deltas), p, problem.psi, problem.a, chi_used)),
+        residual=residual_check(problem, solution) if n >= 256 else math.nan,
+        M_used=m_used, L_used=l_used, converged=bool(deltas[-1] <= tol),
+        box_exit=box_exit)
     return solution, report
 
 

@@ -241,10 +241,12 @@ def psi_from_config(cfg) -> PsiMap:
     """Build a map from its JSON object ``{"kind", "domain", "rho"?}``:
     a string kind, two numbers and, if present, a numeric ``rho`` that
     :func:`make_psi` takes as its one parameter (so only ``power`` accepts
-    it, and ``power`` needs it).  Any other encoding raises
+    it, and ``power`` needs it).  Any other key or encoding raises
     :class:`DomainViolation`, as do the rules of :func:`make_psi`."""
     if not isinstance(cfg, dict):
         raise DomainViolation("map config must be a JSON object")
+    raise_on([f"unknown map config key {key!r}" for key in cfg
+              if key not in ("kind", "domain", "rho")], DomainViolation)
     kind, domain = cfg.get("kind"), cfg.get("domain", ())
     params = (cfg["rho"],) if "rho" in cfg else ()
     if not (isinstance(kind, str) and isinstance(domain, (list, tuple))

@@ -1,13 +1,17 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from psihilfer import (CauchyProblem, FracIntegralOperator, LinearProblem,
-                       OrderParams, PsiHilferError, WeightedGridFunction,
+                       OrderParams, PsiHilferError, SolveReport,
+                       WeightedGridFunction,
                        apriori_error_bound_sequence, build_grid, make_psi,
                        parse, picard_solve, solve_constant, solve_variable)
 from psihilfer.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
@@ -152,10 +156,25 @@ def test_solve_writes_csv_and_report(tmp_path):
     report = json.loads((tmp_path / "sol.csv.report.json").read_text())
     assert report["converged"] is True
     assert report["iterations"] >= 1
-    # the keys README lists, no more and no fewer
-    assert set(report) == {"chi", "chi_formula", "iterations", "deltas",
-                           "apriori_bounds", "residual", "M_used", "L_used",
-                           "converged", "box_exit"}
+    # the fields of SolveReport and the keys README lists, in that order
+    keys = [f.name for f in dataclasses.fields(SolveReport)]
+    assert list(report) == keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("`<output>.report.json`", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == keys
+
+
+def test_solve_and_bounds_take_xi_when_the_box_offset_overflows(tmp_path,
+                                                                capsys):
+    # (k G(eta+zeta) / (G(zeta) M))^(1/eta) leaves the double range at eta 0.01
+    out = tmp_path / "o.csv"
+    cfg = _write_config(tmp_path / "c.json", eta=0.01, rhs="1e-5*y", n=64,
+                        output_path=str(out))
+    assert main(["bounds", cfg]) == EXIT_OK
+    assert "\nchi = 1\n" in capsys.readouterr().out
+    assert main(["solve", cfg]) == EXIT_OK
+    report = json.loads((tmp_path / "o.csv.report.json").read_text())
+    assert report["chi"] == report["chi_formula"] == 1.0
 
 
 def test_solve_reports_the_l_override(tmp_path):
@@ -435,6 +454,9 @@ MALFORMED = {
         "power map needs a finite positive exponent"),
     "domain-overflows-exp": (lambda d: ["solve", _raw_config(
         d, "psi", '{"kind": "exp", "domain": [0, 1000]}')], "positive and finite"),
+    "psi-unknown-key": (lambda d: ["solve", _raw_config(
+        d, "psi", '{"kind": "power", "params": [1.5], "domain": [0, 2]}')],
+        "unknown map config key 'params'"),
     "rho-on-identity": (lambda d: ["solve", _raw_config(
         d, "psi", '{"kind": "identity", "rho": 2.0, "domain": [0, 2]}')],
         "identity map takes 0 parameter"),

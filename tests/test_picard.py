@@ -39,6 +39,14 @@ def test_existence_interval_huge_box_gives_horizon():
     assert existence_interval(prob, 1.0) == 1.0
 
 
+def test_existence_interval_offset_beyond_double_range_gives_horizon():
+    # (k G(eta+zeta) / (G(zeta) norm_f))^(1/eta) ~ 1e400 does not bind
+    prob = _problem(eta=0.5, nu=0.5, rhs="1e-200*y")
+    assert existence_interval(prob, 1e-200) == 1.0
+    sol, rep = picard_solve(prob, n=64)
+    assert rep.chi == rep.chi_formula == 1.0 and rep.converged
+
+
 def test_zero_rhs_fixed_in_one_iteration():
     prob = _problem(rhs="0", eta=0.5, nu=0.5)
     sol, rep = picard_solve(prob, n=64, horizon=1.0)
@@ -64,11 +72,16 @@ def test_linear_decay_matches_closed_form():
 
 
 def test_iterate_bound_pointwise():
+    # |w_m - w_0| / X^eta at nodes 1..n, w_m the solve cut off after m steps
     prob = _problem()
     sol, rep = picard_solve(prob, n=512, horizon=1.0)
     p = prob.params
     cap = (rep.M_used * math.gamma(p.zeta) / math.gamma(p.eta + p.zeta))
-    assert max(rep.y0_gap_ratios) <= cap * (1.0 + 1e-9)
+    w0c = prob.y_a * math.exp(-log_gamma(p.zeta))
+    x_eta = sol.grid.x_pow(p.eta)[1:]
+    for m in range(1, rep.iterations + 1):
+        w = picard_solve(prob, n=512, horizon=1.0, max_iter=m)[0].w
+        assert np.max(np.abs(w[1:] - w0c) / x_eta) <= cap * (1.0 + 1e-9), m
 
 
 def test_increment_cascade():
@@ -77,7 +90,7 @@ def test_increment_cascade():
     p = prob.params
     z = rep.L_used * 1.0 ** p.eta
     gz = math.gamma(p.zeta)
-    for m, delta in enumerate(rep.weighted_deltas):
+    for m, delta in enumerate(rep.deltas):
         cap = (rep.M_used * gz / rep.L_used) * z ** (m + 1) \
             / math.gamma((m + 1) * p.eta + p.zeta)
         assert delta <= cap * 1.1
@@ -107,7 +120,7 @@ def test_truncated_solve_returns_each_iterate_of_the_full_solve():
         w = picard_step(prob.rhs, op, w0c, w)
         cut, cut_rep = picard_solve(prob, n=512, horizon=1.0, max_iter=m)
         assert np.array_equal(cut.w, w), m
-        assert cut_rep.weighted_deltas == rep.weighted_deltas[:m]
+        assert cut_rep.deltas == rep.deltas[:m]
         assert cut_rep.iterations == m
     assert np.array_equal(w, sol.w)
 
@@ -191,13 +204,13 @@ def test_unique_limit_from_perturbed_start():
 def test_residual_of_converged_solution_is_small():
     prob = _problem()
     sol, rep = picard_solve(prob, n=2048, horizon=1.0)
-    assert rep.residual_norm <= 5e-2
+    assert rep.residual <= 5e-2
 
 
 def test_residual_of_exact_initial_profile():
     prob = _problem(rhs="0", eta=0.5, nu=0.5)
     sol, rep = picard_solve(prob, n=2048, horizon=1.0)
-    assert rep.residual_norm <= 1e-3
+    assert rep.residual <= 1e-3
 
 
 def test_unconverged_iterate_has_larger_residual():
@@ -207,7 +220,7 @@ def test_unconverged_iterate_has_larger_residual():
     sol_conv, rep_conv = picard_solve(prob, n=512, horizon=0.5)
     sol_one, rep_one = picard_solve(prob, n=512, horizon=0.5, max_iter=1)
     assert rep_conv.converged and not rep_one.converged
-    assert rep_one.residual_norm > rep_conv.residual_norm
+    assert rep_one.residual > rep_conv.residual
 
 
 def test_domain_error_propagates_from_rhs():
@@ -258,8 +271,8 @@ def test_stiff_decay_increments_contract_below_tolerance():
     # below that peak for the increments to fall under tol = 1e-10
     prob = _problem(eta=0.3, nu=1.0, rhs="-1.9825353760527153*y")
     sol, rep = picard_solve(prob, n=1024, horizon=1.0)
-    assert max(rep.weighted_deltas) > 1e3
-    assert rep.converged and rep.iterations <= 160, rep.weighted_deltas[-5:]
+    assert max(rep.deltas) > 1e3
+    assert rep.converged and rep.iterations <= 160, rep.deltas[-5:]
 
 
 def test_collapsed_existence_interval_is_named():
