@@ -220,7 +220,8 @@ class FracIntegralOperator:
     split: it and ``apply_plain``, which only such an operator accepts,
     are the bare FFT product rule.  The O(n) tables
     ``to_plain = X^(zeta-1)`` and ``to_weighted = X^(1-zeta)`` are 0 at
-    t = a.  The ``apply_*`` methods are deterministic linear maps.
+    t = a.  The ``apply_*`` methods are deterministic linear maps.  Raises
+    :class:`OverflowGuard` when a table leaves the double range.
     """
 
     def __init__(self, grid: PsiGrid, eta: float, zeta: float = 1.0):
@@ -229,19 +230,25 @@ class FracIntegralOperator:
         eta = float(eta)
         self.zeta = z = float(zeta)
         self._conv = _abel_product_rule(grid, eta)
-        self.to_plain = grid.x_pow(z - 1.0)
-        self.to_plain[0] = 0.0
-        self.to_weighted = grid.x_pow(1.0 - z)
-        self.to_weighted[0] = 0.0
-        if z != 1.0:
-            # weighted-form integral of X^(zeta-1), and that of X^zeta
-            # minus its product-rule value (the product rule of w - w0 in
-            # apply already carries the slope part; this restores it exactly)
-            self._int_const = (math.exp(log_gamma(z) - log_gamma(z + eta))
-                               * grid.x_pow(eta))
-            self._slope_defect = (math.exp(log_gamma(z + 1.0) - log_gamma(z + 1.0 + eta))
-                                  * grid.x_pow(eta + 1.0)
-                                  - self.to_weighted * self._conv(grid.x_pow(z)))
+        with np.errstate(all="ignore"):  # a table that is not finite raises below
+            self.to_plain = grid.x_pow(z - 1.0)
+            self.to_plain[0] = 0.0
+            self.to_weighted = grid.x_pow(1.0 - z)
+            self.to_weighted[0] = 0.0
+            tables = [self.to_plain, self.to_weighted]
+            if z != 1.0:
+                # weighted-form integral of X^(zeta-1), and that of X^zeta
+                # minus its product-rule value (the product rule of w - w0 in
+                # apply already carries the slope part; this restores it exactly)
+                self._int_const = (math.exp(log_gamma(z) - log_gamma(z + eta))
+                                   * grid.x_pow(eta))
+                self._slope_defect = (math.exp(log_gamma(z + 1.0) - log_gamma(z + 1.0 + eta))
+                                      * grid.x_pow(eta + 1.0)
+                                      - self.to_weighted * self._conv(grid.x_pow(z)))
+                tables += [self._int_const, self._slope_defect]
+        if not all(np.isfinite(table).all() for table in tables):
+            raise OverflowGuard(f"the order-{eta!r} power tables on this grid "
+                                "exceed the floating-point range")
 
     def apply_plain(self, g: np.ndarray) -> np.ndarray:
         """Integral of finite samples g at every node; exact for g affine in u."""

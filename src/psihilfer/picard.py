@@ -132,17 +132,25 @@ def _extrapolate_start(v: np.ndarray) -> float:
     return 3.0 * v[1] - 3.0 * v[2] + v[3]
 
 
+def _composite_nodes(grid: PsiGrid, zeta: float) -> np.ndarray:
+    """The nodes at which the weighted composite evaluates f: every node
+    when zeta = 1, else all but t = a."""
+    return grid.nodes if zeta == 1.0 else grid.nodes[1:]
+
+
 def _weighted_composite(rhs: RhsExpr, grid: PsiGrid, zeta: float,
                         w: np.ndarray, to_plain: np.ndarray,
                         to_weighted: np.ndarray) -> np.ndarray:
     """X^(1-zeta) f(t, X^(zeta-1) w) at every node, with the power tables
     given off t = a.  f is evaluated at t = a only when zeta = 1; else y
-    is unbounded there and node 0 is quadratically extrapolated.
+    is unbounded there and node 0 is quadratically extrapolated.  ``rhs``
+    may be bound at ``_composite_nodes(grid, zeta)``.
     """
+    nodes = _composite_nodes(grid, zeta)
     if zeta == 1.0:
-        return rhs.eval_many(grid.nodes, w)
+        return rhs.eval_many(nodes, w)
     phi = np.empty(grid.n + 1)
-    phi[1:] = to_weighted[1:] * rhs.eval_many(grid.nodes[1:], w[1:] * to_plain[1:])
+    phi[1:] = to_weighted[1:] * rhs.eval_many(nodes, w[1:] * to_plain[1:])
     phi[0] = _extrapolate_start(phi)
     return phi
 
@@ -152,7 +160,9 @@ def picard_step(rhs: RhsExpr, op: FracIntegralOperator, w0_const: float,
     """One application of the integral fixed-point map in weighted form.
 
     Pushes the weighted composite of f along w through the fractional
-    integral ``op``, whose grid, zeta and power tables it uses.
+    integral ``op``, whose grid, zeta and power tables it uses.  ``rhs``
+    may be bound (:meth:`RhsExpr.bind`) at the nodes the composite reads,
+    as :func:`picard_solve` binds it once for all its steps.
     """
     phi = _weighted_composite(rhs, op.grid, op.zeta, w, op.to_plain,
                               op.to_weighted)
@@ -180,7 +190,7 @@ def estimate_constants(problem: CauchyProblem, n: int,
     k_box around the initial iterate at the n-panel scout nodes on
     [a, a + xi].  M is the weighted sup of f along the initial iterate
     plus Lipschitz slack covering the whole box.  Raises
-    :class:`OverflowGuard` when the box is not finite.
+    :class:`OverflowGuard` when the box or M is not finite.
     """
     raise_on(solve_violations(L_override=L_override), DomainViolation)
     p = problem.params
@@ -200,10 +210,16 @@ def estimate_constants(problem: CauchyProblem, n: int,
     else:
         l_used = lipschitz_estimate(problem.rhs,
                                     (problem.a, problem.a + problem.xi), box)
-    phi = _weighted_composite(problem.rhs, scout, p.zeta,
-                              np.full(n + 1, w0c), xp, xw)
-    m0 = float(np.max(np.abs(phi)))
-    return l_used, m0 + l_used * problem.k_box * float(np.max(xw))
+    with np.errstate(all="ignore"):  # an M that is not finite is rejected below
+        phi = _weighted_composite(problem.rhs, scout, p.zeta,
+                                  np.full(n + 1, w0c), xp, xw)
+        m_used = (float(np.max(np.abs(phi)))
+                  + l_used * problem.k_box * float(np.max(xw)))
+    if not math.isfinite(m_used):
+        raise OverflowGuard(
+            f"the bound M of f on the trust box exceeds the floating-point "
+            f"range: M = {m_used!r} with L = {l_used!r}")
+    return l_used, m_used
 
 
 def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
@@ -237,12 +253,15 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
 
     grid = build_grid(problem.psi, problem.a, problem.a + chi_used, n)
     op = FracIntegralOperator(grid, p.eta, zeta=p.zeta)
+    # every step evaluates f at the same nodes, so the parts of f that do
+    # not read y are evaluated once, here
+    rhs = problem.rhs.bind(_composite_nodes(grid, p.zeta))
 
     deltas, box_exit = [], False
     w = np.full(n + 1, w0c)
     with np.errstate(all="ignore"):  # a non-finite iterate raises below
         for _ in range(max_iter):
-            w_new = picard_step(problem.rhs, op, w0c, w)
+            w_new = picard_step(rhs, op, w0c, w)
             delta = float(np.max(np.abs(w_new - w)))
             if not math.isfinite(delta):
                 raise OverflowGuard(

@@ -5,6 +5,14 @@ powers from the operator table: ^ (right-associative) binds tighter than
 unary minus, which binds tighter than * and /, which bind tighter than +
 and -.  Trees and parentheses nest at most ``MAX_DEPTH`` levels deep.
 Parsed expressions are immutable; evaluation is pure and reentrant.
+
+Evaluation runs in two phases.  :meth:`RhsExpr.bind` walks the tree once
+at the nodes t and holds the value of each subtree that does not read y;
+evaluating the bound expression at y walks only the nodes that do.
+``eval`` and ``eval_many`` bind and evaluate in one call, so a caller
+that evaluates at the same nodes many times (a Picard iteration) binds
+once.  Both phases run the one walker, so the values, and the node an
+error names, are those of a single walk of the whole tree.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from scipy.special import gamma as _sp_gamma
 
 from .errors import (DomainViolation, ExprDomainError, ExprSyntaxError,
-                     UnknownIdentifier)
+                     GridMismatch, UnknownIdentifier)
 
 # key -> (arity, elementwise numpy function, form, binding powers); "neg"
 # is unary minus.  An infix entry with powers (left, right) continues an
@@ -77,6 +85,17 @@ class Op:
     key: str
     args: tuple
     offset: int = field(compare=False, default=0)
+
+
+@dataclass(frozen=True)
+class _Held:
+    """A subtree ``node`` that does not read y, evaluated at the nodes its
+    expression is bound at: ``value`` is read-only, and ``record`` is the
+    subtree's post-order record of (operator node, value)."""
+
+    node: object
+    value: object = field(compare=False, repr=False)
+    record: tuple = field(compare=False, repr=False)
 
 
 class _Parser:
@@ -175,7 +194,13 @@ def _label(node, column: int, texts=()) -> str:
         key=node.key, args=texts, listed=", ".join(texts))
 
 
+def _source(node):
+    """The parsed node a held leaf stands for, else ``node`` itself."""
+    return node.node if type(node) is _Held else node
+
+
 def _to_string(node) -> str:
+    node = _source(node)
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -189,6 +214,7 @@ def _children(node) -> tuple:
 
 
 def _uses_y(node) -> bool:
+    node = _source(node)
     if isinstance(node, Var):
         return node.name == "y"
     return any(_uses_y(child) for child in _children(node))
@@ -204,7 +230,9 @@ def _eval_array(node, t, y):
     and only those two places are checked.  A failed check raises at the
     first non-finite operator node in post-order: the node that checking
     every operation would have named.  Leaves are never checked: ``y``
-    returns a non-finite y as given, and ``1/y`` maps y = inf to 0.
+    returns a non-finite y as given, and ``1/y`` maps y = inf to 0.  A
+    held leaf adds its subtree's record to the record and counts as an
+    operator node when it holds one.
     """
     record = []
     with np.errstate(all="ignore"):
@@ -216,6 +244,9 @@ def _eval_array(node, t, y):
 
 def _walk(node, t, y, record):
     kind = type(node)
+    if kind is _Held:
+        record.extend(node.record)
+        return node.value
     if kind is Num:
         return np.full(np.shape(t), node.value)
     if kind is Var:
@@ -223,11 +254,41 @@ def _walk(node, t, y, record):
     args = [_walk(child, t, y, record) for child in node.args]
     if node.key in _MASKING:
         for child, arg in zip(node.args, args):
-            if type(child) is Op and not np.isfinite(arg).all():
+            if type(_source(child)) is Op and not np.isfinite(arg).all():
                 _raise_at_first_non_finite(record)
     out = _OPS[node.key][1](*args)
     record.append((node, out))
     return out
+
+
+def _bind(node, t):
+    """``node`` with each largest subtree that does not read y held at t,
+    or None when ``node`` does not read y.  Runs under the caller's
+    ``errstate``."""
+    node = _source(node)
+    if type(node) is not Op:
+        return node if type(node) is Var and node.name == "y" else None
+    args = [_bind(child, t) for child in node.args]
+    if not any(args):
+        return None
+    return Op(node.key, tuple([_hold(child, t) if arg is None else arg
+                               for child, arg in zip(node.args, args)]),
+              node.offset)
+
+
+def _hold(node, t):
+    """A subtree that does not read y, walked once at t and held; one
+    whose walk raises is left as it is, to raise again, at the same node,
+    whenever the bound expression is evaluated."""
+    node = _source(node)
+    record = []
+    try:
+        value = _walk(node, t, None, record)
+    except ExprDomainError:
+        return node
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return _Held(node, value, tuple(record))
 
 
 def _raise_at_first_non_finite(record):
@@ -241,6 +302,7 @@ def _raise_at_first_non_finite(record):
 
 
 def _tree_lines(node, depth: int):
+    node = _source(node)
     label = (f"num {node.value!r}" if isinstance(node, Num) else
              f"var {node.name}" if isinstance(node, Var) else _label(node, 0))
     yield "  " * depth + label
@@ -250,19 +312,53 @@ def _tree_lines(node, depth: int):
 
 @dataclass(frozen=True)
 class RhsExpr:
-    """A parsed right-hand-side expression over the variables t and y."""
+    """A parsed right-hand-side expression over the variables t and y, or
+    one bound by :meth:`bind` at the nodes ``at``."""
 
     root: object
+    at: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def bind(self, t) -> RhsExpr:
+        """This expression with every subtree that does not read y
+        evaluated once, at the nodes t.
+
+        The first phase of evaluation: the returned expression evaluates
+        only at t (``eval_many(t, y)`` with an equal t, bit for bit, else
+        :class:`GridMismatch`), walks only the nodes that read y, and
+        returns the values and raises the errors of this expression's
+        own ``eval_many``.  It prints as this expression does.
+        """
+        at = np.array(t, dtype=float)
+        at.flags.writeable = False
+        with np.errstate(all="ignore"):
+            root = _bind(self.root, at)
+            return RhsExpr(_hold(self.root, at) if root is None else root, at)
 
     def eval(self, t: float, y: float) -> float:
-        out = _eval_array(self.root, np.asarray(float(t)), np.asarray(float(y)))
-        return float(out)
+        t = np.asarray(float(t))
+        return float(self._bound(t)._evaluate(t, np.asarray(float(y))))
 
     def eval_many(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = _eval_array(self.root, t, y)
-        return np.broadcast_to(out, np.broadcast_shapes(t.shape, y.shape)).copy()
+        return self._bound(t)._evaluate(t, y)
+
+    def _bound(self, t: np.ndarray) -> RhsExpr:
+        """This expression bound at t: bound now, or checked against ``at``."""
+        if self.at is None:
+            return self.bind(t)
+        # bitwise, so that -0.0 and 0.0 differ and a NaN node matches itself
+        if t.shape != self.at.shape or t.tobytes() != self.at.tobytes():
+            raise GridMismatch(f"expression bound at {self.at.size} node(s) "
+                               f"evaluated at other nodes")
+        return self
+
+    def _evaluate(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = _eval_array(self.root, t, y)
+        # a copy at the shape of t and y: the value may be y or held
+        out = np.empty(np.broadcast(t, y).shape)
+        out[...] = value
+        return out
 
     def to_string(self) -> str:
         return _to_string(self.root)
@@ -332,7 +428,8 @@ def lipschitz_estimate(expr: RhsExpr, t_range, y_range) -> float:
 
     width = y_hi - y_lo
     step = 1e-6 * (width if width > 0 else max(1.0, abs(y_lo)))
-    upper = expr.eval_many(ts, ys + step)
-    lower = expr.eval_many(ts, ys - step)
+    bound = expr.bind(ts)
+    upper = bound.eval_many(ts, ys + step)
+    lower = bound.eval_many(ts, ys - step)
     slope = np.max(np.abs(upper - lower)) / (2.0 * step)
     return 1.1 * float(slope)

@@ -866,9 +866,23 @@ def test_overflowing_order_exits_3_with_one_json_line(tmp_path, capsys, case):
     assert not (tmp_path / "o.csv").exists()
 
 
-# finite inputs whose trust box, iterate or bound scale leaves the double
-# range (eta 0.6, nu 0.4, rhs -1*y, n 64 unless overridden)
+# an identity Psi on [0, 1e300]: its increments reach 1e300
+HUGE_DOMAIN = {"psi": {"kind": "identity", "domain": [0.0, 1e300]}, "n": 16}
+# f = y^3 - t is about -t along y0, so the composite X^(1-zeta) f that
+# bounds M reaches 1e270 * 1e300 at the last node
+HUGE_COMPOSITE = {**HUGE_DOMAIN, "eta": 0.1, "nu": 0.0, "xi": 1e300,
+                  "y_a": 1e-200, "rhs": "y^3 - t", "L_override": 1.9e6}
+
+# finite inputs whose trust box, iterate, bound M, operator tables or
+# bound scale leaves the double range (eta 0.6, nu 0.4, rhs -1*y, n 64
+# unless overridden)
 HUGE_INPUTS = {
+    "solve-composite": ("solve", HUGE_COMPOSITE, "bound M of f"),
+    "bounds-composite": ("bounds", HUGE_COMPOSITE, "bound M of f"),
+    # X^(eta+1) of the slope-defect table at X = 1e279
+    "solve-power-tables": ("solve", {**HUGE_DOMAIN, "eta": 0.999999,
+                                     "nu": 0.4, "xi": 1e300, "rhs": "y",
+                                     "horizon": 1e279}, "power tables"),
     "solve-y_a": ("solve", {"y_a": 1.7e308}, "trust box"),
     "bounds-y_a": ("bounds", {"y_a": 1.7e308}, "trust box"),
     "solve-k_box": ("solve", {"k_box": 1.7e308}, "trust box"),

@@ -7,9 +7,10 @@ from psihilfer import (CauchyProblem, DomainViolation, FracIntegralOperator,
                        GridTooCoarse, LinearProblem, OrderParams,
                        apriori_error_bound_sequence, build_grid,
                        continuous_dependence_bound, existence_interval,
-                       make_psi, parse, picard_solve, picard_step,
-                       residual_check, solve_constant)
+                       make_custom_psi, make_psi, parse, picard_solve,
+                       picard_step, residual_check, solve_constant)
 from psihilfer.picard import estimate_constants
+from psihilfer.rhs_expr import _OPS
 from psihilfer.special_fn import log_gamma
 
 IDENT = make_psi("identity", (), (0.0, 2.0))
@@ -123,6 +124,54 @@ def test_truncated_solve_returns_each_iterate_of_the_full_solve():
         assert cut_rep.deltas == rep.deltas[:m]
         assert cut_rep.iterations == m
     assert np.array_equal(w, sol.w)
+
+
+def test_solve_evaluates_the_y_free_part_of_f_once_per_grid(monkeypatch):
+    # sin(t) is evaluated once by each binding of f (the Lipschitz scan,
+    # the bound M, the iteration), however many steps the iteration takes
+    calls = []
+    arity, sin, form, powers = _OPS["sin"]
+
+    def counted(x):
+        calls.append(np.size(x))
+        return sin(x)
+
+    monkeypatch.setitem(_OPS, "sin", (arity, counted, form, powers))
+    prob = _problem(rhs="sin(t) + 0.5*y")
+    counts = []
+    for max_iter in (2, 10):
+        calls.clear()
+        _, rep = picard_solve(prob, n=64, tol=1e-300, max_iter=max_iter,
+                              horizon=1.0)
+        assert rep.iterations == max_iter
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
+def _custom_psi_problem(eta, nu, s, p, c, kappa):
+    """The manufactured problem of the custom_psi_nonlinear benchmark:
+    Psi(t) = t + s sin t with no inverse, and the f whose solution is
+    y = c X^p, X = Psi(t)."""
+    amp = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 - eta)
+    x = f"(t + {s!r}*sin(t))"
+    rhs = f"{amp!r}*{x}^{p - eta!r} + {kappa!r}*sin(y - {c!r}*{x}^{p!r})"
+    psi = make_custom_psi(lambda t: np.asarray(t, dtype=float) + s * np.sin(t),
+                          lambda t: 1.0 + s * np.cos(np.asarray(t, dtype=float)),
+                          (0.0, 2.0))
+    return CauchyProblem(psi=psi, params=OrderParams(eta, nu), a=0.0, xi=1.0,
+                         y_a=0.0, rhs=parse(rhs), k_box=1.0)
+
+
+@pytest.mark.parametrize("nu", [0.4, 1.0])
+def test_solve_matches_steps_over_the_unbound_rhs(nu):
+    prob = _custom_psi_problem(0.5, nu, 0.25, 1.5, 1.0, 2.0)
+    sol, rep = picard_solve(prob, n=512)
+    op = FracIntegralOperator(sol.grid, prob.params.eta, zeta=prob.params.zeta)
+    w0c = prob.y_a * math.exp(-log_gamma(prob.params.zeta))
+    w = np.full_like(sol.w, w0c)
+    for _ in range(rep.iterations):
+        w = picard_step(prob.rhs, op, w0c, w)
+    assert np.array_equal(sol.w, w)
 
 
 def test_apriori_sequence_strictly_decreasing():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psihilfer import (DomainViolation, ExprDomainError, ExprSyntaxError,
-                       UnknownIdentifier, lipschitz_estimate, parse)
+                       GridMismatch, UnknownIdentifier, lipschitz_estimate,
+                       parse)
 from psihilfer.rhs_expr import (_FORMS, _MASKING, _OPS, MAX_DEPTH, Num, Var,
                                 _children)
 
@@ -78,6 +79,7 @@ def test_nesting_bound(shape):
     assert expr.uses_y()
     assert expr.to_string()
     assert len(expr.tree_lines()) >= 1
+    assert expr.bind(np.full(3, 0.5)).tree_lines() == expr.tree_lines()
     with pytest.raises(ExprSyntaxError) as exc_info:
         parse(text(MAX_DEPTH + 1))
     assert str(exc_info.value) == (
@@ -205,14 +207,23 @@ def test_masked_intermediate_keeps_its_node(text, y, op, offset):
         assert exc_info.value.offset == offset
 
 
-@pytest.mark.parametrize("text", ["y", "t"])
+@pytest.mark.parametrize("text", ["y", "t", "2", "sin(t)", "y + 2*t"])
 def test_eval_many_never_hands_back_its_input(text):
     t = np.linspace(0.0, 1.0, 5)
     y = np.linspace(1.0, 2.0, 5)
+    expected = parse(text).eval_many(t, y)
     out = parse(text).eval_many(t, y)
     out[:] = -7.0
     assert np.array_equal(t, np.linspace(0.0, 1.0, 5))
     assert np.array_equal(y, np.linspace(1.0, 2.0, 5))
+    # nor a value the bound expression holds: writing to one result
+    # leaves the next unchanged
+    bound = parse(text).bind(t)
+    out = bound.eval_many(t, y)
+    assert out.flags.writeable
+    out[:] = -7.0
+    assert np.array_equal(bound.eval_many(t, y), expected)
+    assert np.array_equal(t, np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("text", ["y", "t", "2", "sin(t)*y"])
@@ -294,13 +305,70 @@ def _any_expr(children):
 
 @settings(max_examples=400, deadline=None)
 @given(st.recursive(_any_leaf, _any_expr, max_leaves=10),
-       st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4))
+       st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.floats()),
+                min_size=1, max_size=4))
 def test_eval_many_matches_the_checked_reference(text, points):
+    # each point is (t, y_1, y_2, y_3): one binding serves three y
     expr = parse(text)
     t = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
-    assert (_outcome(lambda: expr.eval_many(t, y))
+    bound = expr.bind(t)
+    for k in (1, 2, 3):
+        y = np.array([p[k] for p in points])
+        reference = _outcome(lambda: _reference_eval(expr.root, t, y))
+        assert _outcome(lambda: expr.eval_many(t, y)) == reference
+        assert _outcome(lambda: bound.eval_many(t, y)) == reference
+
+
+# a subtree free of y that is not finite (held, or raising when it is
+# walked) names itself only when no node before it in post-order fails
+@pytest.mark.parametrize("text,y,name,offset", [
+    ("ln(y) + 1e308*10", -1.0, "function 'ln'", 0),
+    ("ln(y) + 1e308*10", 1.0, "operator '*'", 13),
+    ("ln(y) + exp(-(1/0))", -1.0, "function 'ln'", 0),
+    ("ln(y) + exp(-(1/0))", 1.0, "operator '/'", 15),
+    ("y^(1/0)", 0.5, "operator '/'", 4),
+    ("(1e308*10)^y + ln(y)", 0.0, "operator '*'", 6),
+])
+def test_bound_subtree_errors_keep_post_order(text, y, name, offset):
+    expr = parse(text)
+    t = np.array([0.5, 0.5])
+    y = np.array([1.0, y])
+    bound = expr.bind(t)
+    for evaluate in (lambda: expr.eval_many(t, y), lambda: bound.eval_many(t, y)):
+        with pytest.raises(ExprDomainError) as exc_info:
+            evaluate()
+        assert str(exc_info.value) == (
+            f"undefined value in {name} (node at offset {offset})")
+    assert (_outcome(lambda: bound.eval_many(t, y))
             == _outcome(lambda: _reference_eval(expr.root, t, y)))
+
+
+def test_bound_expression_evaluates_only_where_it_was_bound():
+    t = np.array([0.0, 0.25, 0.5])
+    bound = parse("sin(t)*y + 1/(1 + t)").bind(t)
+    assert np.array_equal(bound.at, t)
+    y = np.ones(3)
+    assert np.array_equal(bound.eval_many(t.copy(), y),
+                          parse("sin(t)*y + 1/(1 + t)").eval_many(t, y))
+    # equality is bitwise: -0.0 is another node than 0.0
+    for other in (t + 1.0, t[1:], np.array([-0.0, 0.25, 0.5])):
+        with pytest.raises(GridMismatch):
+            bound.eval_many(other, np.ones_like(other))
+    scalar = parse("t*y").bind(0.5)
+    assert scalar.eval(0.5, 2.0) == 1.0
+    with pytest.raises(GridMismatch):
+        scalar.eval(0.25, 2.0)
+
+
+@pytest.mark.parametrize("text", [
+    "sin(t)*y + t^2", "y", "t", "2", "-pow(t, 2) / y", "exp(-(1/0)) + y"])
+def test_bound_expression_prints_as_its_source(text):
+    expr = parse(text)
+    bound = expr.bind(np.linspace(0.0, 1.0, 4))
+    assert bound.to_string() == expr.to_string()
+    assert bound.tree_lines() == expr.tree_lines()
+    assert bound.uses_y() is expr.uses_y()
+    assert bound.bind(np.zeros(2)).to_string() == expr.to_string()
 
 
 def test_tree_lines_cover_every_node_kind():
