@@ -179,8 +179,7 @@ def _cmd_solve(args) -> int:
     _emit_solution(cfg.output_path, solution)
     with open(cfg.output_path + ".report.json", "w", encoding="utf-8",
               newline="") as fh:
-        fh.write(json.dumps(dataclasses.asdict(report), indent=2,
-                            allow_nan=True) + "\n")
+        fh.write(json.dumps(vars(report), indent=2, allow_nan=True) + "\n")
     if not report.converged:
         _fail("numerical", "iteration did not converge within max_iter")
         return EXIT_NUMERICAL

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainViolation, GridTooCoarse, ParamViolation, broken,
-                     raise_on)
+from .errors import (DomainViolation, GridTooCoarse, OverflowGuard,
+                     ParamViolation, broken, raise_on)
 from .frac_ops import (OrderParams, WeightedGridFunction, _abel_product_rule,
                        build_grid)
 from .psi_maps import PsiMap
@@ -103,11 +103,12 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
     p = problem.params
     grid = build_grid(problem.psi, problem.a, problem.b, n)
     z = problem.lam * grid.x ** p.eta
-    w = problem.y_a * ml2_array(p.eta, p.zeta, z)
-    if problem.forcing is not None:
-        fv = problem.forcing.eval_many(grid.nodes, np.zeros(n + 1))
-        w = w + grid.x_pow(1.0 - p.zeta) * _abel_product_rule(grid, p.eta, z)(fv)
-    return WeightedGridFunction(grid, p.zeta, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = problem.y_a * ml2_array(p.eta, p.zeta, z)
+        if problem.forcing is not None:
+            fv = problem.forcing.eval_many(grid.nodes, np.zeros(n + 1))
+            w = w + grid.x_pow(1.0 - p.zeta) * _abel_product_rule(grid, p.eta, z)(fv)
+    return _solution(grid, p.zeta, w)
 
 
 def solve_variable(problem: LinearProblem, n: int) -> WeightedGridFunction:
@@ -125,5 +126,14 @@ def solve_variable(problem: LinearProblem, n: int) -> WeightedGridFunction:
     grid = build_grid(problem.psi, problem.a, problem.b, n)
     z = problem.lam * grid.x_pow(p.eta + problem.mu - 1.0)
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
-    w = w0c * ks_array(p.eta, m, l, z)
-    return WeightedGridFunction(grid, p.zeta, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w0c * ks_array(p.eta, m, l, z)
+    return _solution(grid, p.zeta, w)
+
+
+def _solution(grid, zeta: float, w: np.ndarray) -> WeightedGridFunction:
+    """The solution of weighted samples w; OverflowGuard unless finite."""
+    if not np.isfinite(w).all():
+        raise OverflowGuard("the closed-form solution on this grid exceeds "
+                            "the floating-point range")
+    return WeightedGridFunction(grid, zeta, w)

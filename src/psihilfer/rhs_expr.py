@@ -6,13 +6,13 @@ unary minus, which binds tighter than * and /, which bind tighter than +
 and -.  Trees and parentheses nest at most ``MAX_DEPTH`` levels deep.
 Parsed expressions are immutable; evaluation is pure and reentrant.
 
-Evaluation runs in two phases.  :meth:`RhsExpr.bind` walks the tree once
-at the nodes t and holds the value of each subtree that does not read y;
-evaluating the bound expression at y walks only the nodes that do.
-``eval`` and ``eval_many`` bind and evaluate in one call, so a caller
-that evaluates at the same nodes many times (a Picard iteration) binds
-once.  Both phases run the one walker, so the values, and the node an
-error names, are those of a single walk of the whole tree.
+One walker evaluates the parsed tree.  :meth:`RhsExpr.bind` runs it once
+at the nodes t and keeps, in a memo beside the tree, the value of each
+largest subtree that does not read y; evaluating the bound expression at
+y walks only the nodes that do, so a caller that evaluates at the same
+nodes many times (a Picard iteration) binds once.  ``eval`` and
+``eval_many`` on an unbound expression walk the whole tree.  The values,
+and the node an error names, are those of a single walk of the tree.
 """
 
 from __future__ import annotations
@@ -85,17 +85,6 @@ class Op:
     key: str
     args: tuple
     offset: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class _Held:
-    """A subtree ``node`` that does not read y, evaluated at the nodes its
-    expression is bound at: ``value`` is read-only, and ``record`` is the
-    subtree's post-order record of (operator node, value)."""
-
-    node: object
-    value: object = field(compare=False, repr=False)
-    record: tuple = field(compare=False, repr=False)
 
 
 class _Parser:
@@ -194,13 +183,7 @@ def _label(node, column: int, texts=()) -> str:
         key=node.key, args=texts, listed=", ".join(texts))
 
 
-def _source(node):
-    """The parsed node a held leaf stands for, else ``node`` itself."""
-    return node.node if type(node) is _Held else node
-
-
 def _to_string(node) -> str:
-    node = _source(node)
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -214,95 +197,79 @@ def _children(node) -> tuple:
 
 
 def _uses_y(node) -> bool:
-    node = _source(node)
     if isinstance(node, Var):
         return node.name == "y"
     return any(_uses_y(child) for child in _children(node))
 
 
-def _eval_array(node, t, y):
+def _eval_array(node, t, y, memo):
     """Evaluate over numpy arrays, pinning domain failures to the node.
 
-    One post-order walk under one ``errstate`` records the value of each
-    operator node.  Outside ``_MASKING`` every table entry returns a
-    non-finite value for a non-finite operand, so a non-finite operator
-    node shows either at the root or as an operand of a masking entry,
-    and only those two places are checked.  A failed check raises at the
-    first non-finite operator node in post-order: the node that checking
-    every operation would have named.  Leaves are never checked: ``y``
-    returns a non-finite y as given, and ``1/y`` maps y = inf to 0.  A
-    held leaf adds its subtree's record to the record and counts as an
-    operator node when it holds one.
+    One post-order walk under one ``errstate``, which takes the value of
+    a node in ``memo`` instead of walking it.  Outside ``_MASKING`` every
+    table entry returns a non-finite value for a non-finite operand, and
+    a masking entry whose operand is a non-finite operator node returns
+    that operand, so a non-finite operator node shows at the root.  When
+    the root is not finite, the walk runs again with no memo and a check
+    after every operator node, and raises at the first non-finite one in
+    post-order: the node that checking every operation would have named.
+    Leaves are never checked: ``y`` returns a non-finite y as given, and
+    ``1/y`` maps y = inf to 0.
     """
-    record = []
     with np.errstate(all="ignore"):
-        out = _walk(node, t, y, record)
-    if not np.isfinite(out).all():
-        _raise_at_first_non_finite(record)
-    return out
+        out = _walk(node, t, y, memo, False)
+        return out if np.isfinite(out).all() else _walk(node, t, y, {}, True)
 
 
-def _walk(node, t, y, record):
+def _walk(node, t, y, memo, checked):
+    """``node`` at t and y; ``checked`` raises at a non-finite operator
+    node (see :func:`_eval_array`)."""
+    if id(node) in memo:
+        return memo[id(node)]
     kind = type(node)
-    if kind is _Held:
-        record.extend(node.record)
-        return node.value
     if kind is Num:
         return np.full(np.shape(t), node.value)
     if kind is Var:
         return t if node.name == "t" else y
-    args = [_walk(child, t, y, record) for child in node.args]
-    if node.key in _MASKING:
+    args = [_walk(child, t, y, memo, checked) for child in node.args]
+    if not checked and node.key in _MASKING:
         for child, arg in zip(node.args, args):
-            if type(_source(child)) is Op and not np.isfinite(arg).all():
-                _raise_at_first_non_finite(record)
+            if type(child) is Op and not np.isfinite(arg).all():
+                return arg
     out = _OPS[node.key][1](*args)
-    record.append((node, out))
+    if checked and not np.isfinite(out).all():
+        raise ExprDomainError(f"undefined value in {_label(node, 1)}",
+                              node.offset)
     return out
 
 
-def _bind(node, t):
-    """``node`` with each largest subtree that does not read y held at t,
-    or None when ``node`` does not read y.  Runs under the caller's
-    ``errstate``."""
-    node = _source(node)
+def _hold(node, t, memo) -> bool:
+    """Whether ``node`` reads y; if so, its operands that do not are held
+    (:func:`_keep`).  One post-order pass, which walks each largest
+    subtree that does not read y once, under the caller's ``errstate``."""
     if type(node) is not Op:
-        return node if type(node) is Var and node.name == "y" else None
-    args = [_bind(child, t) for child in node.args]
-    if not any(args):
-        return None
-    return Op(node.key, tuple([_hold(child, t) if arg is None else arg
-                               for child, arg in zip(node.args, args)]),
-              node.offset)
+        return type(node) is Var and node.name == "y"
+    reads = [_hold(child, t, memo) for child in node.args]
+    if not any(reads):
+        return False
+    for child, read in zip(node.args, reads):
+        if not read:
+            _keep(memo, child, t)
+    return True
 
 
-def _hold(node, t):
-    """A subtree that does not read y, walked once at t and held; one
-    whose walk raises is left as it is, to raise again, at the same node,
-    whenever the bound expression is evaluated."""
-    node = _source(node)
-    record = []
-    try:
-        value = _walk(node, t, None, record)
-    except ExprDomainError:
-        return node
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    return _Held(node, value, tuple(record))
-
-
-def _raise_at_first_non_finite(record):
-    """Raise ExprDomainError at the first node of ``record``, a list of
-    (operator node, value) in post-order, whose value is not finite;
-    return if there is none."""
-    for node, value in record:
-        if not np.isfinite(value).all():
-            raise ExprDomainError(f"undefined value in {_label(node, 1)}",
-                                  node.offset)
+def _keep(memo, node, t):
+    """Hold the value at t of a subtree that does not read y, read-only,
+    unless it is not finite: that subtree stays unheld, so that each
+    evaluation walks it and names its failing node."""
+    value = _walk(node, t, None, {}, False)
+    if np.isfinite(value).all():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        memo[id(node)] = value
 
 
 def _tree_lines(node, depth: int):
-    node = _source(node)
     label = (f"num {node.value!r}" if isinstance(node, Num) else
              f"var {node.name}" if isinstance(node, Var) else _label(node, 0))
     yield "  " * depth + label
@@ -317,47 +284,41 @@ class RhsExpr:
 
     root: object
     at: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # id of a node of root -> its read-only value at ``at`` (see _keep)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def bind(self, t) -> RhsExpr:
         """This expression with every subtree that does not read y
         evaluated once, at the nodes t.
 
-        The first phase of evaluation: the returned expression evaluates
-        only at t (``eval_many(t, y)`` with an equal t, bit for bit, else
-        :class:`GridMismatch`), walks only the nodes that read y, and
-        returns the values and raises the errors of this expression's
-        own ``eval_many``.  It prints as this expression does.
+        The first phase of evaluation: the returned expression has the
+        same tree, evaluates only at t (``eval_many(t, y)`` with an equal
+        t, bit for bit, else :class:`GridMismatch`), walks only the nodes
+        that read y, and returns the values and raises the errors of this
+        expression's own ``eval_many``.
         """
         at = np.array(t, dtype=float)
         at.flags.writeable = False
+        memo = {}
         with np.errstate(all="ignore"):
-            root = _bind(self.root, at)
-            return RhsExpr(_hold(self.root, at) if root is None else root, at)
+            if not _hold(self.root, at, memo):
+                _keep(memo, self.root, at)
+        return RhsExpr(self.root, at, memo)
 
     def eval(self, t: float, y: float) -> float:
-        t = np.asarray(float(t))
-        return float(self._bound(t)._evaluate(t, np.asarray(float(y))))
+        return float(self.eval_many(float(t), float(y)))
 
     def eval_many(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
-        return self._bound(t)._evaluate(t, y)
-
-    def _bound(self, t: np.ndarray) -> RhsExpr:
-        """This expression bound at t: bound now, or checked against ``at``."""
-        if self.at is None:
-            return self.bind(t)
         # bitwise, so that -0.0 and 0.0 differ and a NaN node matches itself
-        if t.shape != self.at.shape or t.tobytes() != self.at.tobytes():
+        if self.at is not None and (t.shape != self.at.shape
+                                    or t.tobytes() != self.at.tobytes()):
             raise GridMismatch(f"expression bound at {self.at.size} node(s) "
                                f"evaluated at other nodes")
-        return self
-
-    def _evaluate(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        value = _eval_array(self.root, t, y)
         # a copy at the shape of t and y: the value may be y or held
         out = np.empty(np.broadcast(t, y).shape)
-        out[...] = value
+        out[...] = _eval_array(self.root, t, y, self._memo)
         return out
 
     def to_string(self) -> str:

@@ -153,9 +153,18 @@ def test_solve_writes_csv_and_report(tmp_path):
     # zeta < 1: the y field at t = a stays empty
     first = lines[1].split(",")
     assert first[2] == ""
-    report = json.loads((tmp_path / "sol.csv.report.json").read_text())
+    text = (tmp_path / "sol.csv.report.json").read_text()
+    report = json.loads(text)
     assert report["converged"] is True
     assert report["iterations"] >= 1
+    # the file is the library's report, as a deep copy would serialise it
+    loaded = load_config(cfg)
+    _, library = picard_solve(loaded.problem, n=loaded.n, tol=loaded.tol,
+                              max_iter=loaded.max_iter,
+                              L_override=loaded.L_override,
+                              horizon=loaded.horizon)
+    assert text == json.dumps(dataclasses.asdict(library), indent=2,
+                              allow_nan=True) + "\n"
     # the fields of SolveReport and the keys README lists, in that order
     keys = [f.name for f in dataclasses.fields(SolveReport)]
     assert list(report) == keys
@@ -895,6 +904,12 @@ HUGE_INPUTS = {
     # forcing weights, up to n^(eta+1) E[eta,eta+1](lambda), do not
     "linear-forcing-lambda": ("linear", {"lambda": 51.0, "forcing": "1+t",
                                          "n": 1024}, "weights on this grid"),
+    # y_a times the series E[eta,zeta](lambda X^eta), or the Kilbas-Saigo
+    # series of the variable-coefficient mode, at X up to xi = 1
+    "linear-y_a": ("linear", {"y_a": 1.7e308, "lambda": 1.0},
+                   "closed-form solution"),
+    "linear-y_a-mu": ("linear", {"y_a": 1.7e308, "lambda": 1.0, "mu": 1.2},
+                      "closed-form solution"),
 }
 
 

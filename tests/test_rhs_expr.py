@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psihilfer import (DomainViolation, ExprDomainError, ExprSyntaxError,
-                       GridMismatch, UnknownIdentifier, lipschitz_estimate,
-                       parse)
+                       GridMismatch, RhsExpr, UnknownIdentifier,
+                       lipschitz_estimate, parse)
 from psihilfer.rhs_expr import (_FORMS, _MASKING, _OPS, MAX_DEPTH, Num, Var,
                                 _children)
 
@@ -360,11 +360,23 @@ def test_bound_expression_evaluates_only_where_it_was_bound():
         scalar.eval(0.25, 2.0)
 
 
+def test_unbound_evaluation_walks_without_binding(monkeypatch):
+    expr = parse("sin(t)*y + 1/(1 + t)")
+    t = np.array([0.0, 0.25, 0.5])
+    expected = expr.bind(t).eval_many(t, np.ones(3))
+    monkeypatch.setattr(RhsExpr, "bind", None)
+    assert np.array_equal(expr.eval_many(t, np.ones(3)), expected)
+    assert expr.eval(0.25, 1.0) == expected[1]
+
+
 @pytest.mark.parametrize("text", [
     "sin(t)*y + t^2", "y", "t", "2", "-pow(t, 2) / y", "exp(-(1/0)) + y"])
 def test_bound_expression_prints_as_its_source(text):
     expr = parse(text)
     bound = expr.bind(np.linspace(0.0, 1.0, 4))
+    # binding keeps the parsed tree
+    assert bound.root is expr.root
+    assert bound == expr
     assert bound.to_string() == expr.to_string()
     assert bound.tree_lines() == expr.tree_lines()
     assert bound.uses_y() is expr.uses_y()
