@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
                      OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
-from .special_fn import (_check_params, _converged_sum, _ml_terms, log_gamma,
-                         ml2_tail_sums)
+from .special_fn import (_CHUNK, _check_params, _converged_sum, _ml_blocks,
+                         log_gamma, ml2_tail_sums)
 
 _ZETA_MATCH_TOL = 1e-12
 
@@ -141,9 +141,14 @@ class WeightedGridFunction:
         return float(np.max(np.abs(self.w)))
 
     def to_plain(self) -> np.ndarray:
-        """Recover y(t_i).  The t = a entry is NaN when zeta < 1."""
-        with np.errstate(invalid="ignore"):  # 0 * inf at t = a for zeta < 1
+        """Recover y(t_i).  The t = a entry is NaN when zeta < 1; any other
+        entry past the double range raises OverflowGuard."""
+        # 0 * inf at t = a for zeta < 1; a finite w times a large X^(zeta-1)
+        with np.errstate(over="ignore", invalid="ignore"):
             y = self.w * self.grid.x_pow(self.zeta - 1.0)
+        if not np.isfinite(y[1:]).all():
+            raise OverflowGuard("the plain values y = X^(zeta-1) w on this grid "
+                                "exceed the floating-point range")
         if self.zeta != 1.0:
             y[0] = np.nan if self.zeta < 1.0 else 0.0
         return y
@@ -162,11 +167,22 @@ def _abel_kernels(eta: float, n: int, z=None) -> tuple[np.ndarray, np.ndarray]:
     if z is not None:
         # the resolvent's moments over [0, d] are Gamma(eta) d^eta E[eta,eta+1](z)
         # and Gamma(eta) d^(eta+1) (E[eta,eta+1] - E[eta,eta+2])(z); t_k / (k eta
-        # + eta + 1) is a term of E[eta,eta+2], so one term stream gives both
-        rows = ((np.array([[1.0], [1.0 / (k * eta + eta + 1.0)]]), t, size)
-                for k, (t, size) in enumerate(_ml_terms(eta, eta + 1.0, z)))
-        terms = ((f * t, f * size) for f, t, size in rows)
-        e = math.exp(log_gamma(eta + 1.0)) * _converged_sum(terms)[0]
+        # + eta + 1) is a term of E[eta,eta+2], so one term stream gives both.
+        # The sum reads a block whole before it draws the next, so one
+        # buffer serves every chunk of rows (the first has t_0 as well)
+        buf = np.empty((_CHUNK + 1, 2) + z.shape)
+
+        def moments(block):
+            c = len(block.terms)
+            f = np.reshape([1.0 / (k * eta + eta + 1.0) for k in range(
+                block.start, block.start + c)], (c,) + (1,) * z.ndim)
+            terms = buf[:c]
+            terms[:, 0] = block.terms
+            np.multiply(block.terms, f, out=terms[:, 1])
+            return block._replace(terms=terms)
+
+        blocks = map(moments, _ml_blocks(eta, eta + 1.0, z))
+        e = math.exp(log_gamma(eta + 1.0)) * _converged_sum(blocks)[0]
         e0, e1 = e[0], (eta + 1.0) / eta * (e[0] - e[1])
     p0 = np.diff(d ** eta * e0) / eta
     p1 = d[1:] * p0 - np.diff(d ** (eta + 1.0) * e1) / (eta + 1.0)

@@ -910,6 +910,11 @@ HUGE_INPUTS = {
                    "closed-form solution"),
     "linear-y_a-mu": ("linear", {"y_a": 1.7e308, "lambda": 1.0, "mu": 1.2},
                       "closed-form solution"),
+    # w stays below 1.1e308, but X^(zeta-1) is about 1e4 at the first
+    # node of an exp Psi over [0, 7e-7], so each plain value y overflows
+    "linear-plain-values": ("linear", {"psi": {"kind": "exp", "domain": [0.0, 700.0]},
+                                       "eta": 0.1, "xi": 7e-7, "y_a": 1.7e308,
+                                       "lambda": 1.0}, "plain values"),
 }
 
 

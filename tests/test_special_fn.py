@@ -10,12 +10,14 @@ from hypothesis import given, strategies as st
 from scipy.special import erfc
 
 from psihilfer import (DomainViolation, MLSeriesParams, OrderParams,
-                       OverflowGuard, ParamViolation, SeriesNotConverged,
+                       OverflowGuard, ParamViolation, PsiHilferError,
+                       SeriesNotConverged,
                        continuous_dependence_bound, gronwall_bound,
                        kilbas_saigo, ks_coefficients, log_gamma, make_psi,
                        mittag_leffler2)
 from psihilfer.frac_ops import _abel_kernels
-from psihilfer.special_fn import (SeriesResult, _gamma_ratios, ks_array, ml2_array,
+from psihilfer.special_fn import (_HUGE, SeriesResult, _gamma_ratios, _ml_blocks,
+                                  _sum_to_tolerance, ks_array, ml2_array,
                                   ml2_tail_sums)
 
 # ln Gamma at the classical check points, 30-digit values
@@ -473,3 +475,216 @@ def test_lattice_points_recorded_correct_stay_correct():
                                    or (abs(ref) < 1e-2 and diff <= 1e-12))):
             wrong.append((p["id"], res.value, ref))
     assert not wrong
+
+
+# -- the block engine against a per-term reference ---------------------------
+#
+# The reference is the engine as it was before it summed by blocks: one
+# Python step per term, t_k = (t_{k-1} * z) * r_k with the e^700 guard
+# taken by math.log on each term, the ratio table read in blocks of 16,
+# 32, 64, ..., and the three-small-terms stop rule tested term by term.
+
+def _ref_terms(first, z, gamma_arg, step):
+    vector = isinstance(z, np.ndarray)
+    term = np.full(z.shape, first) if vector else np.longdouble(first)
+    yield term, np.abs(term) if vector else abs(first)
+    k, block = 1, 16
+    while True:
+        stop = k - 1 + block
+        if not math.isfinite(gamma_arg(stop - 1.0) + step):
+            with np.errstate(over="ignore"):
+                last = gamma_arg(np.arange(k - 1, stop, dtype=float)) + step
+            stop = k - 1 + int(np.isfinite(last).argmin())
+            if stop < k:
+                raise OverflowGuard(
+                    "a Gamma argument of the series exceeds the floating-point range")
+        ratios = _gamma_ratios(gamma_arg(np.arange(k - 1, stop, dtype=float)).tobytes(),
+                               step)
+        for r in (ratios.astype(float).tolist() if vector else ratios):
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = term * z * r
+            size = np.abs(term) if vector else abs(float(term))
+            mag = float(size.max(initial=0.0)) if vector else size
+            if mag != 0.0 and not math.log(mag) <= 700.0:
+                raise OverflowGuard(f"series term at k={k} exceeds the floating-point range")
+            yield term, size
+            k += 1
+        block *= 2
+
+
+def _ref_ml_terms(eta, nu, z):
+    return _ref_terms(math.exp(-log_gamma(nu)), z, lambda j: j * eta + nu, eta)
+
+
+def _ref_ks_terms(eta, m, l, z):
+    return _ref_terms(1.0, z, lambda j: eta * (j * m + l) + 1.0, eta)
+
+
+def _ref_sum(terms, policy=MLSeriesParams()):
+    total, consec = 0.0, 0
+    for k, (term, size) in zip(range(1, policy.max_terms + 1), terms):
+        total += term
+        small = size <= policy.rel_tol * abs(total)
+        consec = consec + 1 if (small.all() if small.ndim else small) else 0
+        if consec >= 3:
+            return total, k, True
+    return total, policy.max_terms, False
+
+
+def _ref_converged(terms, policy=MLSeriesParams()):
+    total, used, stopped = _ref_sum(terms, policy)
+    if not stopped:
+        raise SeriesNotConverged(
+            f"a series sum did not meet rel_tol {policy.rel_tol!r} within "
+            f"{policy.max_terms} terms")
+    return total, used
+
+
+def _ref_series_result(terms, policy):
+    total, used, stopped = _ref_sum(terms, policy)
+    omitted = next(terms)[1]
+    value = float(total)
+    return SeriesResult(value, used, omitted,
+                        stopped and omitted <= policy.rel_tol * max(1.0, abs(value)))
+
+
+def _ref_tail_sums(eta, nu, z, n_max):
+    terms = []
+    stream = _ref_ml_terms(eta, nu, np.longdouble(z))
+    for _ in range(n_max + 2):
+        terms.append(next(stream)[0])
+
+    def tail():
+        for t, size in stream:
+            terms.append(t)
+            yield t, size
+    _ref_converged(tail(), MLSeriesParams(rel_tol=float(np.finfo(np.longdouble).eps)))
+    return np.cumsum(np.array(terms[:0:-1], dtype=np.longdouble))[::-1][:n_max + 1].astype(float)
+
+
+def _ref_abel_kernels(eta, n, z):
+    d = np.arange(n + 1, dtype=float)
+    rows = ((np.array([[1.0], [1.0 / (k * eta + eta + 1.0)]]), t, size)
+            for k, (t, size) in enumerate(_ref_ml_terms(eta, eta + 1.0, z)))
+    e = math.exp(log_gamma(eta + 1.0)) * _ref_converged((f * t, f * s) for f, t, s in rows)[0]
+    e0, e1 = e[0], (eta + 1.0) / eta * (e[0] - e[1])
+    p0 = np.diff(d ** eta * e0) / eta
+    p1 = d[1:] * p0 - np.diff(d ** (eta + 1.0) * e1) / (eta + 1.0)
+    return np.maximum(p0 - p1, 0.0), np.maximum(p1, 0.0)
+
+
+def _outcome(call):
+    """A call's result as bytes (arrays bit for bit, with dtype and
+    shape) or its exception's type and message."""
+    try:
+        r = call()
+    except PsiHilferError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(r, SeriesResult):
+        return r
+    if isinstance(r, tuple):
+        return tuple(_outcome(lambda a=a: a) for a in r)
+    r = np.asarray(r)
+    return r.dtype.str, r.shape, r.tobytes()
+
+
+# ratio blocks start at terms 1, 65, 193, ... and array rows come 16 at a time
+EDGE_TERMS = [1, 2, 3, 16, 17, 63, 64, 65, 66, 192, 193, 10_000]
+EDGE_TOLS = [1e-6, 1e-12, 1e-16]
+ARGS = [-50.0, -20.0, -3.0, -1.3, 0.7, 2.5, 10.0, 40.0, 100.0, 300.0]
+ML_ORDERS = [(0.3, 0.4), (0.75, 1.0), (1.0, 1.7), (2.0, 0.4)]
+KS_ORDERS = [(0.5, 1.5, 0.2), (1.0, 1.0, 0.0), (0.7, 0.7, -0.3)]
+POLICIES = [MLSeriesParams(tol, terms) for terms in EDGE_TERMS for tol in EDGE_TOLS]
+
+
+@pytest.mark.parametrize("eta,nu", ML_ORDERS)
+def test_block_engine_matches_per_term_reference_ml(eta, nu):
+    for z in ARGS:
+        for p in POLICIES:
+            got = _outcome(lambda: mittag_leffler2(eta, nu, z, p))
+            ref = _outcome(lambda: _ref_series_result(
+                _ref_ml_terms(eta, nu, np.longdouble(z)), p))
+            assert got == ref, (z, p)
+    zs = np.array(ARGS)
+    for part in (zs, zs[2:6], zs[:3], zs[4:8]):
+        assert _outcome(lambda: ml2_array(eta, nu, part)) == \
+            _outcome(lambda: _ref_converged(_ref_ml_terms(eta, nu, part))[0]), part
+        for p in POLICIES[::2]:
+            assert _outcome(lambda: _sum_to_tolerance(_ml_blocks(eta, nu, part), p)[:3]) \
+                == _outcome(lambda: _ref_sum(_ref_ml_terms(eta, nu, part), p)), (part, p)
+    for z in (0.7, 2.5, 10.0, 40.0, 300.0):
+        for n_max in (0, 1, 2, 61, 62, 63, 64, 190, 191, 10_000):
+            assert _outcome(lambda: ml2_tail_sums(eta, nu, z, n_max)) == \
+                _outcome(lambda: _ref_tail_sums(eta, nu, z, n_max)), (z, n_max)
+    for n, lam in ((8, -50.0), (8, 300.0), (64, -3.0), (64, 2.5), (64, 40.0)):
+        z = lam * (np.arange(n + 1) / n) ** eta
+        with np.errstate(over="ignore", invalid="ignore"):  # as the product rule
+            assert _outcome(lambda: _abel_kernels(eta, n, z)) == \
+                _outcome(lambda: _ref_abel_kernels(eta, n, z)), (n, lam)
+
+
+@pytest.mark.parametrize("eta,m,l", KS_ORDERS)
+def test_block_engine_matches_per_term_reference_ks(eta, m, l):
+    for z in ARGS:
+        for p in POLICIES:
+            got = _outcome(lambda: kilbas_saigo(eta, m, l, z, p))
+            ref = _outcome(lambda: _ref_series_result(
+                _ref_ks_terms(eta, m, l, np.longdouble(z)), p))
+            assert got == ref, (z, p)
+    zs = np.array(ARGS)
+    for part in (zs, zs[2:6], zs[:3], zs[4:8]):
+        assert _outcome(lambda: ks_array(eta, m, l, part)) == \
+            _outcome(lambda: _ref_converged(_ref_ks_terms(eta, m, l, part))[0]), part
+    for count in EDGE_TERMS:
+        ref = np.fromiter((t for t, _ in _ref_ks_terms(eta, m, l, np.longdouble(1.0))),
+                          dtype=float, count=count + 1)
+        assert _outcome(lambda: ks_coefficients(eta, m, l, count)) == \
+            _outcome(lambda: ref), count
+
+
+# -- only a term that is read raises, at block granularity --------------------
+
+def test_a_sum_that_stops_before_an_overflowing_term_returns():
+    # z^k / Gamma(k/2 + 1) at z = 1e100: t_3 is 7.5e299 and t_4 past e^700,
+    # all in the first block; a sum of three terms reads t_3 as its
+    # truncation estimate, a sum of four reads t_4
+    p = MLSeriesParams(max_terms=3)
+    assert mittag_leffler2(0.5, 1.0, 1e100, p) == \
+        SeriesResult(1e200, 3, 7.522527780636747e+299, False)
+    with pytest.raises(OverflowGuard, match="^series term at k=4 exceeds"):
+        mittag_leffler2(0.5, 1.0, 1e100, MLSeriesParams(max_terms=4))
+    # an array sum reads no term past its stop either
+    blocks = _ml_blocks(0.5, 1.0, np.array([1.0, 1e100]))
+    assert _sum_to_tolerance(blocks, p)[1:3] == (3, False)
+
+
+def test_a_stop_at_the_end_of_a_block_reads_the_next_block():
+    # the first block holds t_0 .. t_64, so a sum of 65 terms takes t_65,
+    # the first term of the second block, as its truncation estimate
+    res = mittag_leffler2(1.0, 1.0, 21.5)  # e^21.5, stopped by the tolerance
+    assert res.terms_used == 65 and res.converged
+    assert res.truncation_estimate == pytest.approx(
+        math.exp(65 * math.log(21.5) - math.lgamma(66)), rel=1e-12)
+    # at z^65 / 65! just past e^700 only that estimate overflows
+    z = math.exp((700.0 + math.lgamma(66)) / 65)
+    below, above = z * (1 - 1e-9), z * (1 + 1e-9)
+    assert mittag_leffler2(1.0, 1.0, above, MLSeriesParams(max_terms=64)).terms_used == 64
+    assert mittag_leffler2(1.0, 1.0, below, MLSeriesParams(max_terms=65)).terms_used == 65
+    with pytest.raises(OverflowGuard, match="^series term at k=65 exceeds"):
+        mittag_leffler2(1.0, 1.0, above, MLSeriesParams(max_terms=65))
+
+
+def test_guard_constant_is_the_last_double_with_log_at_most_700():
+    assert math.log(_HUGE) <= 700.0
+    assert math.log(math.nextafter(_HUGE, math.inf)) > 700.0
+    assert math.log(math.nextafter(_HUGE, 0.0)) <= 700.0
+
+
+def test_a_gamma_value_past_the_double_range_raises_only_where_it_is_read():
+    # eta*(j*m + l) + 1 passes lgamma's range at j = 52, inside the first
+    # ratio block: the 52 ratios before it are kept, and the term that
+    # needs it raises
+    assert len(ks_coefficients(0.5, 1e304, 0.0, 52)) == 53
+    with pytest.raises(OverflowGuard, match="^a Gamma value of the series"):
+        ks_coefficients(0.5, 1e304, 0.0, 53)
+    assert kilbas_saigo(0.5, 1e304, 0.0, 1e-3).terms_used == 8
