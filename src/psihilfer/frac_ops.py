@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (DomainViolation, GridMismatch, GridTooCoarse,
                      OverflowGuard, broken, raise_on)
 from .psi_maps import PsiMap, psi_increment
-from .special_fn import (_CHUNK, _check_params, _converged_sum, _ml_blocks,
-                         log_gamma, ml2_tail_sums)
+from .special_fn import (_check_params, _ml2_moments, _tail_argument, log_gamma,
+                         ml2_tail_sums)
 
 _ZETA_MATCH_TOL = 1e-12
 
@@ -166,23 +166,9 @@ def _abel_kernels(eta: float, n: int, z=None) -> tuple[np.ndarray, np.ndarray]:
     e0 = e1 = 1.0
     if z is not None:
         # the resolvent's moments over [0, d] are Gamma(eta) d^eta E[eta,eta+1](z)
-        # and Gamma(eta) d^(eta+1) (E[eta,eta+1] - E[eta,eta+2])(z); t_k / (k eta
-        # + eta + 1) is a term of E[eta,eta+2], so one term stream gives both.
-        # The sum reads a block whole before it draws the next, so one
-        # buffer serves every chunk of rows (the first has t_0 as well)
-        buf = np.empty((_CHUNK + 1, 2) + z.shape)
-
-        def moments(block):
-            c = len(block.terms)
-            f = np.reshape([1.0 / (k * eta + eta + 1.0) for k in range(
-                block.start, block.start + c)], (c,) + (1,) * z.ndim)
-            terms = buf[:c]
-            terms[:, 0] = block.terms
-            np.multiply(block.terms, f, out=terms[:, 1])
-            return block._replace(terms=terms)
-
-        blocks = map(moments, _ml_blocks(eta, eta + 1.0, z))
-        e = math.exp(log_gamma(eta + 1.0)) * _converged_sum(blocks)[0]
+        # and Gamma(eta) d^(eta+1) (E[eta,eta+1] - E[eta,eta+2])(z); a term
+        # past e^700 raises OverflowGuard as in every series sum
+        e = math.exp(log_gamma(eta + 1.0)) * _ml2_moments(eta, z)
         e0, e1 = e[0], (eta + 1.0) / eta * (e[0] - e[1])
     p0 = np.diff(d ** eta * e0) / eta
     p1 = d[1:] * p0 - np.diff(d ** (eta + 1.0) * e1) / (eta + 1.0)
@@ -373,12 +359,13 @@ def gronwall_bound(psi: PsiMap, eta: float, a: float, t: float,
     For nonnegative data with nondecreasing majorants v, g the solution
     is dominated by v * E[eta, 1](g * Gamma(eta) * (Psi(t)-Psi(a))^eta).
     E[eta, 1] is 1 plus its tail past k = 0, as in the a-priori bound, so a
-    sum that does not converge raises :class:`SeriesNotConverged`.
+    sum that does not converge raises :class:`SeriesNotConverged`, and an
+    argument past the double range :class:`OverflowGuard`.
     """
     if v_bound < 0 or g_bound < 0:
         raise DomainViolation("majorant values must be nonnegative")
     if v_bound == 0.0:
         return 0.0
     x = psi_increment(psi, a, t)
-    arg = g_bound * math.exp(log_gamma(eta)) * x ** eta
+    arg = _tail_argument("g*Gamma(eta)*X^eta", g_bound * math.exp(log_gamma(eta)), x, eta)
     return v_bound * (1.0 + ml2_tail_sums(eta, 1.0, arg, 0)[0])

@@ -31,7 +31,7 @@ from .frac_ops import (FracIntegralOperator, OrderParams, PsiGrid,
                        WeightedGridFunction, build_grid, hilfer_derivative)
 from .psi_maps import PsiMap, psi_increment
 from .rhs_expr import RhsExpr, lipschitz_estimate
-from .special_fn import _is_int, log_gamma, ml2_tail_sums
+from .special_fn import _is_int, _tail_argument, log_gamma, ml2_tail_sums
 
 #: relative box overshoot tolerated before the solver records a warning
 _BOX_SLACK = 1.1
@@ -297,8 +297,8 @@ def apriori_error_bound_sequence(M: float, L: float, n_max: int,
     evaluated as an explicit series tail, which is nonnegative and
     strictly decreasing by construction.  L = 0 yields the limiting
     bounds M G(zeta) X^eta / G(eta+zeta), 0, 0, ..., and M = 0 or X = 0
-    exact zeros.  Raises :class:`OverflowGuard` when M G(zeta) / L is
-    not finite.
+    exact zeros.  Raises :class:`OverflowGuard` when M G(zeta) / L or
+    L X^eta is not finite.
     """
     raise_on(broken((M, lambda v: v >= 0, "M must be nonnegative"),
                     (L, lambda v: v >= 0, "L must be nonnegative"),
@@ -318,7 +318,8 @@ def apriori_error_bound_sequence(M: float, L: float, n_max: int,
                                - log_gamma(params.eta + params.zeta))
                   * x ** params.eta)
         return out
-    tails = ml2_tail_sums(params.eta, params.zeta, L * x ** params.eta, n_max)
+    z = _tail_argument("L*X^eta", L, x, params.eta)
+    tails = ml2_tail_sums(params.eta, params.zeta, z, n_max)
     return scale * tails
 
 
@@ -332,7 +333,8 @@ def continuous_dependence_bound(y_a: float, z_a: float, L: float,
     distance is |y_a - z_a| / G(zeta) with no quadrature involved.
     L = 0 yields 2 |y_a - z_a| / G(zeta), since E[eta, zeta](0) = 1/G(zeta).
     E is 1/G(zeta) plus the tail past k = 0 of the a-priori bound's series,
-    so a sum that does not converge raises :class:`SeriesNotConverged`.
+    so a sum that does not converge raises :class:`SeriesNotConverged`, and
+    an L X^eta past the double range :class:`OverflowGuard`.
     """
     if not L >= 0:
         raise DomainViolation("L must be nonnegative")
@@ -343,7 +345,7 @@ def continuous_dependence_bound(y_a: float, z_a: float, L: float,
     p = params
     x = psi_increment(psi, a, a + chi)
     gz = math.exp(log_gamma(p.zeta))
-    tail = ml2_tail_sums(p.eta, p.zeta, L * x ** p.eta, 0)[0]
+    tail = ml2_tail_sums(p.eta, p.zeta, _tail_argument("L*X^eta", L, x, p.eta), 0)[0]
     return (2.0 + gz * tail) * abs(y_a - z_a) / gz
 
 

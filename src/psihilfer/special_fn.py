@@ -19,8 +19,10 @@ summed in double precision with the ratios shared across entries, row
 by row in chunks of 16 rows.  For integer eta the ratio reduces to an
 exact rising factorial, which keeps alternating sums (z < 0) accurate
 despite cancellation; for non-integer eta it goes through log-gamma.
-A term, a Gamma argument or a Gamma value past the double range raises
-OverflowGuard only when a term that needs it is read.
+The term stream owns the e^700 guard: it ends a block before its first
+term past it and raises OverflowGuard when the consumer draws again.  A
+Gamma argument or a Gamma value past the double range ends the ratio
+table the same way, so only a term that a sum reads can raise.
 
 Ratio tables are memoized by their Gamma arguments and step and shared
 read-only across calls and threads, bounded at 256 blocks (least
@@ -148,9 +150,10 @@ def _gamma_ratios(args: bytes, step: float) -> np.ndarray:
     Exact rising-factorial form when ``step`` is a small integer; the
     log-gamma route otherwise, which keeps the prefix of the table before
     the first entry where a Gamma value or the ratio leaves the double
-    range (the arguments increase along a block, so that entry and the
-    ones after it are needed only by later terms) and raises OverflowGuard
-    when that prefix is empty.  Requires all arguments positive.
+    range, or where x + step rounds to x while x^-step does not round to
+    1 (the arguments increase along a block, so that entry and the ones
+    after it are needed only by later terms) and raises OverflowGuard when
+    that prefix is empty.  Requires all arguments positive.
     The table is memoized (see the module docstring) and read-only; the
     memo is typed because a float32 step with a float64's value rounds
     x + step to float32 and so gives another table.
@@ -164,6 +167,9 @@ def _gamma_ratios(args: bytes, step: float) -> np.ndarray:
     if p is None:
         ratios = []
         for v in x.tolist():
+            # a step lost to rounding reads the ratio, about v^-step, as 1
+            if v + step == v and v ** -step != 1.0:
+                break
             try:
                 ratios.append(math.exp(math.lgamma(v) - math.lgamma(v + step)))
             except OverflowError:
@@ -189,39 +195,34 @@ def _gamma_ratios(args: bytes, step: float) -> np.ndarray:
 
 class _Block(NamedTuple):
     """The terms t_k of a series for k = start, start + 1, ..., with the
-    series index on the leading axis.  Only the first ``ok`` terms are
-    within the e^700 guard; the ones after the first that is not may be
-    garbage."""
+    series index on the leading axis, all within the e^700 guard."""
 
     start: int
     terms: np.ndarray
-    ok: int
-
-    def read(self, count: int) -> None:
-        """Raise OverflowGuard if one of the first ``count`` terms is past
-        the guard: a term raises only when it is read."""
-        if count > self.ok:
-            raise OverflowGuard(f"series term at k={self.start + self.ok} "
-                                "exceeds the floating-point range")
 
 
 def _sizes(terms: np.ndarray) -> np.ndarray:
     """|t| as doubles: an extended-precision term is rounded to double,
-    to inf past the double range (callers silence the overflow)."""
+    to inf past the double range (_cut silences that overflow)."""
     return np.abs(terms).astype(float, copy=False)
 
 
-def _within_guard(terms: np.ndarray) -> int:
-    """The number of leading rows of ``terms`` whose sizes are all at most
-    _HUGE (a NaN is not)."""
+def _cut(start: int, terms: np.ndarray):
+    """Yield the _Block of ``terms`` up to its first row with a size past
+    _HUGE (a NaN is past it), and raise OverflowGuard for that row when
+    the consumer draws again: a term raises only when it is read."""
+    n = len(terms)
     # a row within +-_HUGE has sizes within it too; only a block that is
     # not pays for the sizes of every row
-    if terms.max(initial=0.0) <= _HUGE and terms.min(initial=0.0) >= -_HUGE:
-        return len(terms)
-    with np.errstate(over="ignore"):
-        ok = _sizes(terms).max(axis=tuple(range(1, terms.ndim)), initial=0.0) <= _HUGE
-    i = int(ok.argmin())
-    return i if not ok[i] else len(ok)
+    if not (terms.max(initial=0.0) <= _HUGE and terms.min(initial=0.0) >= -_HUGE):
+        with np.errstate(over="ignore"):
+            ok = _sizes(terms).max(axis=tuple(range(1, terms.ndim)), initial=0.0) <= _HUGE
+        n = n if ok.all() else int(ok.argmin())
+    if n:
+        yield _Block(start, terms[:n])
+    if n < len(terms):
+        raise OverflowGuard(f"series term at k={start + n} "
+                            "exceeds the floating-point range")
 
 
 def _ratio_block(gamma_arg, step: float, k: int, size: int) -> np.ndarray:
@@ -246,7 +247,8 @@ def _blocks(first: float, z, gamma_arg, step: float):
     """Yield the terms of t_0 = first, t_k = t_{k-1} * z * Gamma(x_k) /
     Gamma(x_k + step), k = 1, 2, ..., where x_k = gamma_arg(k - 1), as
     _Blocks, the first starting at t_0.  The stream has no end of its
-    own: its consumer stops it.
+    own: its consumer stops it.  A block ends before its first term past
+    the e^700 guard, and the next draw raises OverflowGuard for it.
 
     A scalar z runs in extended precision, one block per ratio block:
     one multiply.accumulate over [t_{k-1}, z, r_k, z, r_{k+1}, ...]
@@ -264,8 +266,8 @@ def _blocks(first: float, z, gamma_arg, step: float):
             for i in range(0, len(ratios), _CHUNK):
                 rows = np.empty((len(ratios[i:i + _CHUNK]) + 1,) + z.shape)
                 rows[0] = term
-                # rows past an overflowing one are never read (the guard
-                # raises first), so their inf and nan warn nothing
+                # rows past an overflowing one are cut off, so their inf
+                # and nan warn nothing
                 with np.errstate(over="ignore", invalid="ignore"):
                     for j, r in enumerate(ratios[i:i + _CHUNK], 1):
                         row = rows[j, ...]  # a view also when z is 0-d
@@ -273,7 +275,7 @@ def _blocks(first: float, z, gamma_arg, step: float):
                         row *= r
                 term = rows[-1]
                 lead = int(k + i > 1)  # the first chunk also yields t_0
-                yield _Block(k + i - 1 + lead, rows[lead:], _within_guard(rows[lead:]))
+                yield from _cut(k + i - 1 + lead, rows[lead:])
         else:
             acc = np.empty(2 * len(ratios) + 1, dtype=_LD)
             acc[0] = term
@@ -283,7 +285,7 @@ def _blocks(first: float, z, gamma_arg, step: float):
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply.accumulate(acc, out=acc)
             term = acc[-1]
-            yield _Block(k - 1 + lead // 2, acc[lead::2], _within_guard(acc[lead::2]))
+            yield from _cut(k - 1 + lead // 2, acc[lead::2])
         k += len(ratios)
         size *= 2
 
@@ -321,29 +323,23 @@ def _sum_to_tolerance(blocks, policy: MLSeriesParams = DEFAULT_SERIES_PARAMS):
             sums = np.empty(n + 1, dtype=block.terms.dtype)
             sums[0] = total
             sums[1:] = block.terms[:n]
-            # sums and sizes past an unread overflowing term may be inf or nan
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add.accumulate(sums, out=sums)
-                bound = np.abs(sums[1:])
-                bound *= rel_tol
-                run += (_sizes(block.terms[:n]) <= bound).tobytes()
+            np.add.accumulate(sums, out=sums)
+            bound = np.abs(sums[1:])
+            bound *= rel_tol
+            run += (_sizes(block.terms[:n]) <= bound).tobytes()
             stop = run.find(b"\1\1\1")
             if stop >= 0:
-                block.read(stop + 1)
                 return sums[stop + 1], used + stop + 1, True, block
             total, run = sums[n], run[-2:]
         else:
             if used == 0:
                 total = np.zeros(block.terms.shape[1:])
             for k, term in enumerate(block.terms[:n]):
-                if k == block.ok:
-                    block.read(k + 1)  # raises before a row past the guard is added
                 np.add(total, term, out=total)
                 small = (np.abs(term) <= rel_tol * np.abs(total)).all()
                 run = run[-2:] + (b"\1" if small else b"\0")
                 if run == b"\1\1\1":
                     return total, used + k + 1, True, block
-        block.read(n)
         used += n
         if used == policy.max_terms:
             return total, policy.max_terms, False, block
@@ -368,7 +364,6 @@ def _series_result(blocks, policy: MLSeriesParams) -> SeriesResult:
     i = used - block.start
     if i == len(block.terms):
         block, i = next(blocks), 0
-    block.read(i + 1)
     omitted = abs(float(block.terms[i]))
     value = float(total)
     converged = stopped and omitted <= policy.rel_tol * max(1.0, abs(value))
@@ -412,7 +407,6 @@ def ks_coefficients(eta: float, m: float, l: float, count: int) -> np.ndarray:
     kept = []
     for block in _ks_blocks(eta, m, l, _LD(1.0)):
         n = min(len(block.terms), count + 1 - block.start)
-        block.read(n)
         kept.append(block.terms[:n])
         if block.start + n > count:
             return np.concatenate(kept).astype(float)
@@ -439,16 +433,27 @@ def ml2_tail_sums(eta: float, nu: float, z: float, n_max: int) -> np.ndarray:
     return np.cumsum(terms[::-1])[::-1][:n_max + 1].astype(float)
 
 
+def _tail_argument(name: str, c: float, x: float, eta: float) -> float:
+    """c * x^eta, the argument of a bound's ml2_tail_sums; OverflowGuard
+    naming it as ``name`` when it leaves the double range."""
+    try:
+        z = c * x ** eta
+    except OverflowError:  # x ** eta past the double range; c is not negative
+        z = math.inf if c else 0.0
+    if not math.isfinite(z):
+        raise OverflowGuard(f"the series argument {name} = {c!r} * {x!r}^{eta!r} "
+                            "exceeds the floating-point range")
+    return z
+
+
 def _read_from(blocks, index: int, kept: list):
     """The blocks of a stream cut to the terms from series index ``index``
-    on.  Each block of the stream is appended to ``kept``, and the terms
-    before ``index`` count as read."""
+    on.  Each block of the stream is appended to ``kept``."""
     for block in blocks:
         kept.append(block)
         cut = max(index - block.start, 0)
-        block.read(min(cut, len(block.terms)))
         if cut < len(block.terms):
-            yield _Block(block.start + cut, block.terms[cut:], block.ok - cut)
+            yield _Block(block.start + cut, block.terms[cut:])
 
 
 def ks_array(eta: float, m: float, l: float, z: np.ndarray) -> np.ndarray:
@@ -473,3 +478,24 @@ def ml2_array(eta: float, nu: float, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     _check_params(z, eta=eta, nu=nu)
     return _converged_sum(_ml_blocks(eta, nu, z))[0]
+
+
+def _ml2_moments(eta: float, z: np.ndarray) -> np.ndarray:
+    """E[eta, eta+1](z) and E[eta, eta+2](z), stacked on the leading axis.
+
+    t_k / (k eta + eta + 1) is a term of E[eta, eta+2] when t_k is one of
+    E[eta, eta+1], so one term stream gives both.  The sum adds a block
+    whole before it draws the next, so one buffer serves every block.
+    """
+    buf = np.empty((_CHUNK + 1, 2) + z.shape)
+
+    def moments(block):
+        c = len(block.terms)
+        f = np.reshape([1.0 / (k * eta + eta + 1.0) for k in range(
+            block.start, block.start + c)], (c,) + (1,) * z.ndim)
+        terms = buf[:c]
+        terms[:, 0] = block.terms
+        np.multiply(block.terms, f, out=terms[:, 1])
+        return _Block(block.start, terms)
+
+    return _converged_sum(map(moments, _ml_blocks(eta, eta + 1.0, z)))[0]

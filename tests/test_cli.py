@@ -900,6 +900,10 @@ HUGE_INPUTS = {
                        "iteration 1 exceeds"),
     "bounds-L_override": ("bounds", {"L_override": 1.7e308},
                           "M*Gamma(zeta)/L exceeds"),
+    # L X^eta = 1e30 * 1e300, the argument of the a-priori bound's series
+    "solve-tail-argument": ("solve", {**HUGE_DOMAIN, "eta": 1.0, "nu": 1.0,
+                                      "xi": 1e300, "horizon": 1e300, "rhs": "0*y",
+                                      "L_override": 1e30}, "L*X^eta"),
     # the solution stays below 1e306, but the resolvent moments of the
     # forcing weights, up to n^(eta+1) E[eta,eta+1](lambda), do not
     "linear-forcing-lambda": ("linear", {"lambda": 51.0, "forcing": "1+t",

@@ -380,10 +380,14 @@ GRID32 = build_grid(IDENT, 0.0, 1.0, 32)
      "nonnegative"),
     (lambda: gronwall_bound(IDENT, 0.7, 0.0, 1.0, 1.0, -1.0), DomainViolation,
      "nonnegative"),
+    # X^eta = (1e300)^5 is past the double range before the series starts
+    (lambda: gronwall_bound(make_psi("identity", (), (0.0, 1e300)), 5.0, 0.0,
+                            1e300, 1.0, 1.0),
+     OverflowGuard, r"^the series argument g\*Gamma\(eta\)\*X\^eta = .* exceeds"),
 ], ids=["grid-n-0", "grid-a-equals-b", "grid-a-above-b",
         "grid-nodes-coincide", "operator-scale-overflows", "samples-short",
         "samples-nan", "hilfer-zeta-mismatch", "gronwall-negative-v",
-        "gronwall-negative-g"])
+        "gronwall-negative-g", "gronwall-argument-overflows"])
 def test_malformed_arguments_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -393,6 +397,9 @@ def test_gronwall_trivial_cases():
     assert gronwall_bound(IDENT, 0.7, 0.0, 1.0, 0.0, 5.0) == 0.0
     assert np.isclose(gronwall_bound(IDENT, 0.7, 0.0, 1.0, 2.0, 0.0), 2.0,
                       rtol=1e-12)
+    # g = 0 makes the series argument 0 even where X^eta is past the double range
+    assert gronwall_bound(make_psi("identity", (), (0.0, 1e300)), 5.0, 0.0, 1e300,
+                          2.0, 0.0) == 2.0
 
 
 def test_gronwall_classical_exponential_limit():

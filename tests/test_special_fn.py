@@ -681,10 +681,32 @@ def test_guard_constant_is_the_last_double_with_log_at_most_700():
 
 
 def test_a_gamma_value_past_the_double_range_raises_only_where_it_is_read():
-    # eta*(j*m + l) + 1 passes lgamma's range at j = 52, inside the first
-    # ratio block: the 52 ratios before it are kept, and the term that
-    # needs it raises
-    assert len(ks_coefficients(0.5, 1e304, 0.0, 52)) == 53
+    # eta*(j*m + l) + 1 + eta passes lgamma's range at j = 25, inside the
+    # first ratio block: the 25 ratios before it are kept, and the term
+    # that needs it raises
+    assert _outcome(lambda: ks_coefficients(1e304, 1.0, 0.0, 25)) == \
+        _outcome(lambda: np.r_[1.0, np.zeros(25)])
     with pytest.raises(OverflowGuard, match="^a Gamma value of the series"):
-        ks_coefficients(0.5, 1e304, 0.0, 53)
-    assert kilbas_saigo(0.5, 1e304, 0.0, 1e-3).terms_used == 8
+        ks_coefficients(1e304, 1.0, 0.0, 26)
+    # at j = 1 the argument 5e303 + 0.5 rounds to 5e303, so log-gamma
+    # would read the ratio, about 1e-152, as 1: the table ends there too
+    assert list(ks_coefficients(0.5, 1e304, 0.0, 1)) == \
+        pytest.approx([1.0, 2.0 / math.sqrt(math.pi)], rel=1e-15)
+    for call in (lambda: ks_coefficients(0.5, 1e304, 0.0, 2),
+                 lambda: kilbas_saigo(0.5, 1e304, 0.0, 1e-3)):
+        with pytest.raises(OverflowGuard, match="^a Gamma value of the series"):
+            call()
+    # a step lost to rounding where the ratio is 1 to rounding is kept:
+    # E[1e-17, 1](0.5) is 1 / (1 - 0.5) to the tolerance
+    assert mittag_leffler2(1e-17, 1.0, 0.5).value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_the_term_stream_ends_a_block_before_its_first_term_past_the_guard():
+    # z^k / Gamma(k/2 + 1) at z = 1e100: t_3 is 7.5e299 and t_4 past e^700
+    for z in (np.longdouble(1e100), np.array([1.0, 1e100])):
+        blocks = _ml_blocks(0.5, 1.0, z)
+        first = next(blocks)
+        assert first.start == 0 and len(first.terms) == 4
+        assert np.all(np.abs(first.terms) <= _HUGE)
+        with pytest.raises(OverflowGuard, match="^series term at k=4 exceeds"):
+            next(blocks)
