@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DomainViolation, GridTooCoarse, OverflowGuard,
                      ParamViolation, broken, raise_on)
 from .frac_ops import (OrderParams, WeightedGridFunction, _abel_product_rule,
-                       build_grid)
+                       _kernel_spectrum, build_grid)
 from .psi_maps import PsiMap
 from .rhs_expr import RhsExpr
 from .special_fn import ks_array, log_gamma, ml2_array
@@ -107,7 +107,8 @@ def solve_constant(problem: LinearProblem, n: int) -> WeightedGridFunction:
         w = problem.y_a * ml2_array(p.eta, p.zeta, z)
         if problem.forcing is not None:
             fv = problem.forcing.eval_many(grid.nodes, np.zeros(n + 1))
-            w = w + grid.x_pow(1.0 - p.zeta) * _abel_product_rule(grid, p.eta, z)(fv)
+            conv = _abel_product_rule(p.eta, grid.h, _kernel_spectrum(p.eta, n, z))
+            w = w + grid.x_pow(1.0 - p.zeta) * conv(fv)
     return _solution(grid, p.zeta, w)
 
 

@@ -192,6 +192,12 @@ def estimate_constants(problem: CauchyProblem, n: int,
     plus Lipschitz slack covering the whole box.  Raises
     :class:`OverflowGuard` when the box or M is not finite.
     """
+    return _scout_constants(problem, n, L_override)[1:]
+
+
+def _scout_constants(problem: CauchyProblem, n: int, L_override: float | None
+                     ) -> tuple[PsiGrid, float, float]:
+    """The scout grid of :func:`estimate_constants`, then its L and M."""
     raise_on(solve_violations(L_override=L_override), DomainViolation)
     p = problem.params
     scout = build_grid(problem.psi, problem.a, problem.a + problem.xi, n)
@@ -219,7 +225,7 @@ def estimate_constants(problem: CauchyProblem, n: int,
         raise OverflowGuard(
             f"the bound M of f on the trust box exceeds the floating-point "
             f"range: M = {m_used!r} with L = {l_used!r}")
-    return l_used, m_used
+    return scout, l_used, m_used
 
 
 def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
@@ -243,7 +249,7 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
     p = problem.params
     w0c = problem.y_a * math.exp(-log_gamma(p.zeta))
 
-    l_used, m_used = estimate_constants(problem, n, L_override)
+    scout, l_used, m_used = _scout_constants(problem, n, L_override)
     chi_formula = existence_interval(problem, m_used)
     chi_used = chi_formula if horizon is None else float(horizon)
     if not problem.a < problem.a + chi_used:
@@ -251,7 +257,9 @@ def picard_solve(problem: CauchyProblem, n: int, tol: float = 1e-10,
             f"the solve interval [a, a + chi] is empty: chi = {chi_used!r} "
             f"from M_used = {m_used!r} and k_box = {problem.k_box!r}")
 
-    grid = build_grid(problem.psi, problem.a, problem.a + chi_used, n)
+    # a horizon of xi solves on the scout grid itself
+    grid = (scout if chi_used == problem.xi
+            else build_grid(problem.psi, problem.a, problem.a + chi_used, n))
     op = FracIntegralOperator(grid, p.eta, zeta=p.zeta)
     # every step evaluates f at the same nodes, so the parts of f that do
     # not read y are evaluated once, here

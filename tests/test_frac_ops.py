@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from psihilfer import (DomainViolation, FracIntegralOperator, GridMismatch,
                        GridTooCoarse, OrderParams, OverflowGuard,
                        WeightedGridFunction, build_grid, gronwall_bound,
                        hilfer_derivative, make_psi, monomial_oracle)
-from psihilfer.frac_ops import _abel_kernels
+from psihilfer.frac_ops import _abel_kernels, _unit_tables
 
 G_15_OVER_G_2 = 0.8862269254527580137  # Gamma(1.5)/Gamma(2) = sqrt(pi)/2
 INV_G_15 = 1.1283791670955125739      # 1/Gamma(1.5) = 2/sqrt(pi)
@@ -149,10 +151,13 @@ def test_weighted_linearity_to_roundoff_on_steep_layers(eta, zeta):
 
 def test_weighted_operator_memory_is_linear_in_n():
     # the small size runs first, so an operator with quadratic state
-    # fails there instead of attempting a 34 GB table at n = 2^16
+    # fails there instead of attempting a 34 GB table at n = 2^16; the
+    # memo is cleared so that the build itself is measured, not a scaling
+    # of memoized tables
     for n, budget in ((1024, 1 << 20), (1 << 16, 64 << 20)):
         grid = build_grid(IDENT, 0.0, 1.0, n)
         w = np.cos(3.0 * grid.x)
+        _unit_tables.cache_clear()
         tracemalloc.start()
         try:
             op = FracIntegralOperator(grid, 0.6, zeta=0.76)
@@ -162,6 +167,140 @@ def test_weighted_operator_memory_is_linear_in_n():
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         assert peak < budget, (n, peak)
+
+
+# same n, different h: the memo hands the second grid the unit-step
+# tables the first one computed
+MEMO_GRIDS = (build_grid(IDENT, 0.0, 1.0, 200), build_grid(IDENT, 0.0, 0.37, 200))
+MEMO_ORDERS = ((0.6, 0.76), (0.3, 1.0), (0.25, 0.5), (1.7, 2.5))
+
+
+def _outputs(grid, eta, zeta):
+    w = np.cos(3.0 * grid.x) + grid.x
+    op = FracIntegralOperator(grid, eta, zeta)
+    return [op.apply_weighted(w)] + ([op.apply_plain(w)] if zeta == 1.0 else [])
+
+
+def test_memoized_unit_tables_change_no_result():
+    cold = []
+    for grid in MEMO_GRIDS:
+        for order in MEMO_ORDERS:
+            _unit_tables.cache_clear()
+            cold += _outputs(grid, *order)
+    for grid in MEMO_GRIDS:
+        for order in MEMO_ORDERS:
+            _outputs(grid, *order)
+    hits = _unit_tables.cache_info().hits
+    warm = [out for grid in MEMO_GRIDS for order in MEMO_ORDERS
+            for out in _outputs(grid, *order)]
+    assert _unit_tables.cache_info().hits == hits + 2 * len(MEMO_ORDERS)
+    assert len(warm) == len(cold)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+
+
+def _direct_operator(grid, eta, zeta):
+    """Reference tables built from X^p = (i h)^p directly, with the
+    product rule scaled before its transform: to_plain, to_weighted and
+    apply_weighted."""
+    x = grid.x
+    nfft = 2 * grid.n + 2  # any length past 2n is free of wrap-around
+    cl, cr = _abel_kernels(eta, grid.n)
+    scale = grid.h ** eta / math.gamma(eta)
+    excess = scale * np.append(cr, 0.0)
+    kernel_hat = np.fft.rfft(excess + scale * np.append(0.0, cl), nfft)
+
+    def conv(g):
+        out = np.fft.irfft(np.fft.rfft(g, nfft) * kernel_hat, nfft)[:grid.n + 1]
+        out -= excess * g[0]
+        out[0] = 0.0
+        return out
+
+    with np.errstate(divide="ignore"):
+        to_plain = np.where(x > 0, x ** (zeta - 1.0), 0.0)
+        to_weighted = np.where(x > 0, x ** (1.0 - zeta), 0.0)
+    int_const = math.gamma(zeta) / math.gamma(zeta + eta) * x ** eta
+    slope_defect = (math.gamma(zeta + 1.0) / math.gamma(zeta + 1.0 + eta) * x ** (eta + 1.0)
+                    - to_weighted * conv(x ** zeta))
+
+    def apply_weighted(w):
+        if zeta == 1.0:
+            return conv(w)
+        slope = (w[1] - w[0]) / grid.h
+        out = (w[0] * int_const + slope * slope_defect
+               + to_weighted * conv(to_plain * (w - w[0])))
+        out[0] = 0.0
+        return out
+
+    return to_plain, to_weighted, apply_weighted
+
+
+@pytest.mark.parametrize("eta,zeta", MEMO_ORDERS)
+def test_scaled_unit_tables_match_a_direct_build(eta, zeta):
+    # warm on the second grid: its tables are the first grid's, rescaled
+    _unit_tables.cache_clear()
+    for grid in MEMO_GRIDS:
+        op = FracIntegralOperator(grid, eta, zeta)
+        to_plain, to_weighted, apply_weighted = _direct_operator(grid, eta, zeta)
+        w = np.cos(3.0 * grid.x) + grid.x
+        # the integral itself is compared: for zeta > 1 the weighted form
+        # X^(1-zeta) I w scales up either build's FFT roundoff near t = a
+        for got, want in ((op.to_plain, to_plain), (op.to_weighted, to_weighted),
+                          (op.apply_weighted(w) * to_plain, apply_weighted(w) * to_plain)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_memoized_unit_tables_are_read_only():
+    tables = _unit_tables(64, 0.6, 0.76)
+    arrays = (*tables.spectrum[1:], *tables[1:])
+    assert len(arrays) == 6
+    for table in arrays:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    # an operator's own tables are its to change
+    assert FracIntegralOperator(MEMO_GRIDS[0], 0.6, 0.76).to_plain.flags.writeable
+
+
+def test_threads_sharing_the_operator_memo_get_the_serial_results():
+    # 40 orders on two grids touch more keys than the memo keeps, so the
+    # threads also race on evictions
+    orders = list(zip(np.linspace(0.1, 1.0, 40).tolist(),
+                      np.linspace(0.3, 1.0, 40).tolist()))
+
+    def run():
+        out = []
+        for grid in MEMO_GRIDS:
+            w = np.cos(3.0 * grid.x)
+            out += [FracIntegralOperator(grid, eta, zeta).apply_weighted(w)
+                    for eta, zeta in orders]
+        return out
+
+    _unit_tables.cache_clear()
+    serial = run()
+    _unit_tables.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert all(np.array_equal(a, b) for a, b in zip(result, serial))
+
+
+def test_cycling_through_more_orders_than_the_memo_holds_changes_no_result():
+    maxsize = _unit_tables.cache_info().maxsize
+    orders = [(eta, 0.8) for eta in np.linspace(0.2, 0.9, maxsize + 5).tolist()]
+    grid = MEMO_GRIDS[1]
+    w = np.sin(2.0 * grid.x)
+    _unit_tables.cache_clear()
+    first = [FracIntegralOperator(grid, *o).apply_weighted(w) for o in orders]
+    assert _unit_tables.cache_info().currsize == maxsize
+    again = [FracIntegralOperator(grid, *o).apply_weighted(w) for o in orders]
+    assert _unit_tables.cache_info().hits == 0
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_weighted_integral_zero_at_left_endpoint():
@@ -400,6 +539,16 @@ def test_gronwall_trivial_cases():
     # g = 0 makes the series argument 0 even where X^eta is past the double range
     assert gronwall_bound(make_psi("identity", (), (0.0, 1e300)), 5.0, 0.0, 1e300,
                           2.0, 0.0) == 2.0
+
+
+def test_gronwall_gamma_of_a_tiny_order_past_the_double_range_raises_overflow_guard():
+    # Gamma(1e-310) ~ 1e310: the series argument is past the double range,
+    # which raised a bare OverflowError while Gamma(eta) was formed
+    psi = make_psi("identity", (), (0.0, 1e300))
+    with pytest.raises(OverflowGuard, match=r"^the series argument g\*Gamma\(eta\)\*X\^eta"):
+        gronwall_bound(psi, 1e-310, 0.0, 1.0, 1.0, 1.0)
+    # g = 0 makes the argument 0 whatever Gamma(eta) is
+    assert gronwall_bound(psi, 1e-310, 0.0, 1.0, 2.0, 0.0) == 2.0
 
 
 def test_gronwall_classical_exponential_limit():

@@ -9,6 +9,7 @@ from psihilfer import (CauchyProblem, DomainViolation, FracIntegralOperator,
                        continuous_dependence_bound, existence_interval,
                        make_custom_psi, make_psi, parse, picard_solve,
                        picard_step, residual_check, solve_constant)
+from psihilfer import picard
 from psihilfer.picard import estimate_constants
 from psihilfer.rhs_expr import _OPS
 from psihilfer.special_fn import log_gamma
@@ -289,6 +290,20 @@ def test_constants_need_three_panels_to_extrapolate(n):
     # zeta < 1: the composite at t = a is extrapolated from nodes 1..3
     with pytest.raises(GridTooCoarse):
         estimate_constants(_problem(eta=0.6, nu=0.4), n)
+
+
+def test_a_horizon_of_xi_solves_on_the_scout_grid(monkeypatch):
+    built = []
+    real = picard.build_grid
+    monkeypatch.setattr(picard, "build_grid",
+                        lambda *args: built.append(args) or real(*args))
+    prob = _problem()
+    sol, _ = picard_solve(prob, n=64, horizon=prob.xi)
+    assert built == [(IDENT, 0.0, 1.0, 64)]
+    assert np.array_equal(sol.grid.nodes, real(IDENT, 0.0, 1.0, 64).nodes)
+    built.clear()
+    picard_solve(prob, n=64, horizon=0.5)
+    assert built == [(IDENT, 0.0, 1.0, 64), (IDENT, 0.0, 0.5, 64)]
 
 
 def test_box_exit_is_flag_not_error():
