@@ -4,11 +4,15 @@ Every fractional operator in this package is taken with respect to a
 strictly increasing C1 transform.  A :class:`PsiMap` bundles the
 transform, its first derivative and its inverse over a closed interval.
 Built-in kinds cover the identity, power, logarithm and exponential
-cases; arbitrary user transforms are supported through ``custom``.
+cases; arbitrary user transforms are supported through ``custom``.  A
+custom map samples its transform once, when it is built, on 512 equal
+panels in t and keeps the 513 pairs (8 KB, read-only): they start the
+Newton inverse and bracket the nodes that it leaves uncertified.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,6 +24,10 @@ _MONOTONE_SAMPLES = 64
 # every node of a custom inverse is within max(_ROOT_TOL, 1 ulp) of a sign
 # change of Psi(t) - u
 _ROOT_TOL = 5e-14
+# a custom map samples Psi once at the ends of this many equal panels in t;
+# the pairs give each inverse its Newton start and each node that fails the
+# certificate its bisection bracket
+_TABLE_PANELS = 512
 # kind -> number of parameters make_psi takes
 _KIND_ARITY = {"identity": 0, "power": 1, "log": 0, "exp": 0}
 
@@ -57,7 +65,7 @@ class PsiMap:
                 for t, what in points if not lo - tol <= t <= hi + tol]
 
 
-def _check_monotone(eval_fn, deriv_fn, domain) -> None:
+def _check_derivative(deriv_fn, domain):
     # Sample the open interior: the derivative of admissible maps may
     # legitimately vanish at an endpoint (t^rho at t=0 with rho>1).
     lo, hi = domain
@@ -69,14 +77,42 @@ def _check_monotone(eval_fn, deriv_fn, domain) -> None:
             f"derivative must be positive and finite on ({lo}, {hi}); "
             f"min sampled value {np.min(dvals)!r}"
         )
-    vals = np.asarray(eval_fn(ts), dtype=float)
-    if np.any(np.diff(vals) <= 0.0):
-        raise NonMonotone("sampled transform values are not strictly increasing")
+    return ts
+
+
+def _check_increasing(ts, vals) -> None:
+    # a NaN fails every comparison and an inf can only end a strictly
+    # increasing run, so finite ends and rising steps make all values finite
+    rising = vals[1:] > vals[:-1]
+    if not (rising.all() and math.isfinite(vals[0]) and math.isfinite(vals[-1])):
+        bad = ~np.isfinite(vals)
+        bad[1:] |= ~rising
+        k = int(np.argmax(bad))
+        raise NonMonotone("sampled transform values are not strictly increasing "
+                          f"and finite: first at t={float(ts[k])!r}, "
+                          f"where the value is {float(vals[k])!r}")
+
+
+def _tabulate(eval_fn, domain):
+    """The read-only ``(t, Psi(t))`` table of a custom map: ``_TABLE_PANELS``
+    equal panels in t, the interior sampled in one ``eval_fn`` call and the
+    two ends as scalars.  Raises :class:`NonMonotone` unless the values are
+    finite and strictly increasing."""
+    lo, hi = domain
+    table_t = np.linspace(lo, hi, _TABLE_PANELS + 1)
+    table_u = np.empty_like(table_t)
+    with np.errstate(all="ignore"):  # an overflow is rejected just below
+        table_u[0], table_u[-1] = eval_fn(lo), eval_fn(hi)
+        table_u[1:-1] = eval_fn(table_t[1:-1])
+    _check_increasing(table_t, table_u)
+    table_t.flags.writeable = table_u.flags.writeable = False
+    return table_t, table_u
 
 
 def _bracketed_inverse(eval_fn, deriv_fn, domain):
     lo, hi = domain
-    f_lo, f_hi = eval_fn(lo), eval_fn(hi)
+    table_t, table_u = _tabulate(eval_fn, domain)
+    f_lo, f_hi = table_u[0], table_u[-1]
 
     def inverse(u):
         # The three steps of make_custom_psi, each over all targets at once.
@@ -85,11 +121,12 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
         # NaN fails both comparisons, so non-finite targets are rejected too
         bad = ~((f_lo - targets <= 0) & (f_hi - targets >= 0))
         if bad.any():
-            raise DomainViolation(f"inverse target {targets[bad][0]!r} outside range")
-        with np.errstate(all="ignore"):  # a flat map gives 0/0 here
-            w = (targets - f_lo) / (f_hi - f_lo)
-        # the secant guess; its weights put the end targets on lo and hi
-        x = np.clip(np.where(np.isfinite(w), (1.0 - w) * lo + w * hi, lo), lo, hi)
+            raise DomainViolation(
+                f"inverse target {float(targets[bad][0])!r} outside range "
+                f"[{float(f_lo)!r}, {float(f_hi)!r}]")
+        # the start: the table read backwards, linear in each panel, so the
+        # end targets start on lo and hi
+        x = np.interp(targets, table_u, table_t)
         # 1. Newton on the open targets; a step that is not finite or fails
         # to halve the last one is not taken and ends its target, and so
         # does a step of at most _ROOT_TOL / 2, which is taken
@@ -109,22 +146,27 @@ def _bracketed_inverse(eval_fn, deriv_fn, domain):
                            dtype=float) - np.tile(targets, 2)
         fail = ~((resid[:x.size] <= 0) & (resid[x.size:] >= 0))
         if fail.any():
-            # 3. bisection until a bracket is at most _ROOT_TOL wide or its
-            # ends are adjacent doubles, then one Newton step from its
-            # midpoint, clipped into it
-            t = targets[fail]
-            a, b = np.full_like(t, lo), np.full_like(t, hi)
-            while (wide := (b - a > _ROOT_TOL) & (np.nextafter(a, b) < b)).any():
-                mid = 0.5 * (a + b)
-                left = np.asarray(eval_fn(mid), dtype=float) - t <= 0
-                a, b = np.where(wide & left, mid, a), np.where(wide & ~left, mid, b)
-            mid = 0.5 * (a + b)
-            newton = mid - _newton_step(eval_fn, deriv_fn, mid, t)
-            x[fail] = np.where(np.isfinite(newton), np.clip(newton, a, b), mid)
+            x[fail] = _bisect_panels(eval_fn, deriv_fn, table_t, table_u, targets[fail])
         out = x.reshape(u_arr.shape)
         return float(out) if out.ndim == 0 else out
 
     return inverse
+
+
+def _bisect_panels(eval_fn, deriv_fn, table_t, table_u, t):
+    """Step 3 of the inverse: bisect the table panel [T_k, T_k+1] with
+    U_k <= u <= U_k+1 of each target u until the bracket is at most
+    _ROOT_TOL wide or its ends are adjacent doubles, then take one Newton
+    step from its midpoint, clipped into it."""
+    k = np.minimum(np.searchsorted(table_u, t, side="right"), _TABLE_PANELS) - 1
+    a, b = table_t[k], table_t[k + 1]
+    while (wide := (b - a > _ROOT_TOL) & (np.nextafter(a, b) < b)).any():
+        mid = 0.5 * (a + b)
+        left = np.asarray(eval_fn(mid), dtype=float) - t <= 0
+        a, b = np.where(wide & left, mid, a), np.where(wide & ~left, mid, b)
+    mid = 0.5 * (a + b)
+    newton = mid - _newton_step(eval_fn, deriv_fn, mid, t)
+    return np.where(np.isfinite(newton), np.clip(newton, a, b), mid)
 
 
 def _newton_step(eval_fn, deriv_fn, x, targets):
@@ -204,7 +246,8 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
                lambda u: np.log(np.asarray(u, dtype=float)))
 
     eval_fn, deriv_fn, inverse_fn = fns
-    _check_monotone(eval_fn, deriv_fn, (lo, hi))
+    ts = _check_derivative(deriv_fn, (lo, hi))
+    _check_increasing(ts, np.asarray(eval_fn(ts), dtype=float))
     return PsiMap(kind=kind, domain=(lo, hi),
                   _eval=eval_fn, _deriv=deriv_fn, _inverse=inverse_fn)
 
@@ -212,27 +255,34 @@ def make_psi(kind: str, params=(), domain=(0.0, 1.0)) -> PsiMap:
 def make_custom_psi(eval_fn, deriv_fn, domain) -> PsiMap:
     """Wrap user callables as a transform map.
 
-    Monotonicity is spot-checked at 64 interior sample points, not
-    proven.  ``eval_fn`` and ``deriv_fn`` are evaluated on floats and on
-    1-D numpy arrays.  The inverse runs over all targets at once in three
-    steps: Newton steered by ``deriv_fn`` from the secant guess (one
-    ``eval_fn`` and one ``deriv_fn`` call per step), one ``eval_fn`` call
-    that certifies each node by a sign change of ``eval_fn(t) - u`` at
-    ``t -+ max(5e-14, 1 ulp)``, and, only for the nodes that fail it, a
-    bisection to a bracket at most 5e-14 wide (or one ulp where doubles
-    are coarser) with one Newton step from its midpoint.  So every
-    returned point is within max(5e-14, 1 ulp) of a sign change.  The
-    domain ends are evaluated once, here.  With the true derivative a
-    grid of ``t + 0.4 sin t`` then costs 7 or 8 ``eval_fn`` calls
-    whatever its size, on [0, 1] as on [600, 601].  A wrong derivative
-    only costs calls, never accuracy: its Newton steps stop early and the
-    certificate sends the nodes to the bisection (49 or 50 calls on
-    [0, 2]).  The inverse keeps the input shape and
-    raises :class:`DomainViolation` for targets that are not finite or
-    lie outside ``[eval_fn(lo), eval_fn(hi)]``.
+    The derivative is spot-checked at 64 interior sample points, and
+    ``eval_fn`` is sampled once, here, on 512 equal panels in t: its two
+    domain ends as floats and the 511 interior points in one array call.
+    The map keeps these 513 ``(t, Psi(t))`` pairs (8 KB, read-only), and
+    :class:`NonMonotone` names the first sampled t where the values are
+    not finite or not strictly increasing.  Monotonicity between the
+    samples is not proven.  ``eval_fn`` and ``deriv_fn`` are evaluated on
+    floats and on 1-D numpy arrays.  The inverse runs over all targets at
+    once in three steps: Newton steered by ``deriv_fn`` from the table
+    read backwards, linear in each panel (one ``eval_fn`` and one
+    ``deriv_fn`` call per step), one ``eval_fn`` call that certifies each
+    node by a sign change of ``eval_fn(t) - u`` at ``t -+ max(5e-14,
+    1 ulp)``, and, only for the nodes that fail it, a bisection of the
+    node's table panel to a bracket at most 5e-14 wide (or one ulp where
+    doubles are coarser) with one Newton step from its midpoint.  So every
+    returned point is within max(5e-14, 1 ulp) of a sign change.  With the
+    true derivative a grid of ``t + 0.4 sin t`` then costs 5 or 6
+    ``eval_fn`` calls whatever its size, on [0, 1] as on [600, 601],
+    counting the two end values ``build_grid`` takes itself, and
+    ``t + 0.1 sin t`` inverts 511 targets on [0, 2] in 3 calls.  A wrong derivative only costs
+    calls, never accuracy: its Newton steps stop early and the certificate
+    sends the nodes to the bisection (40 or 41 calls on [0, 2]).  The
+    inverse keeps the input shape and raises :class:`DomainViolation` for
+    targets that are not finite or lie outside
+    ``[eval_fn(lo), eval_fn(hi)]``.
     """
     lo, hi = _checked_domain(domain)
-    _check_monotone(eval_fn, deriv_fn, (lo, hi))
+    _check_derivative(deriv_fn, (lo, hi))  # the table checks the values
     return PsiMap(kind="custom", domain=(lo, hi), _eval=eval_fn, _deriv=deriv_fn,
                   _inverse=_bracketed_inverse(eval_fn, deriv_fn, (lo, hi)))
 

@@ -124,33 +124,54 @@ def _sine_psi(s):
 
 
 def _sqrt_psi():
-    # Newton from the secant guess overshoots below 0 for the targets
-    # under 2^-1.5, where the derivative is infinite: they take the bisection
+    # Newton from the table start overshoots below 0 for some targets in the
+    # first panels, where the derivative is infinite: they take the bisection
     builtin = make_psi("power", (0.5,), (0.0, 2.0))
     return make_custom_psi(builtin.value, builtin.deriv, (0.0, 2.0))
 
 
 def _quintic_psi():
-    # the secant guess is far from the root, so Newton's steps fail to
-    # halve for some targets, which take the bisection
+    # a steepening map, named for the bisection that a start far from the
+    # root once sent it to; from the table start every target stays on
+    # Newton's path
     return make_custom_psi(lambda t: _as_float(t) + _as_float(t) ** 5,
                            lambda t: 1.0 + 5.0 * _as_float(t) ** 4, (0.0, 3.0))
 
 
+def _flat_sine_psi():
+    # Psi = t + sin t has a zero derivative at pi, where Newton converges
+    # only linearly: its second step fails to halve the first, and the
+    # certificate sends the node to the bisection of its table panel.  The
+    # domain end puts Psi(pi) = pi on the 3/8 target of the n = 512 and
+    # n = 4096 grids, and pi inside a table panel.
+    hi = 7.5
+    for _ in range(8):  # Newton for hi + sin(hi) = 8 pi / 3
+        hi -= (hi + math.sin(hi) - 8.0 * math.pi / 3.0) / (1.0 + math.cos(hi))
+    return make_custom_psi(lambda t: _as_float(t) + np.sin(t),
+                           lambda t: 1.0 + np.cos(_as_float(t)), (0.0, hi))
+
+
+def _steep_psi():
+    # exp wrapped as a custom map: Psi' grows by e^30 across the domain
+    builtin = make_psi("exp", (), (0.0, 30.0))
+    return make_custom_psi(builtin.value, builtin.deriv, (0.0, 30.0))
+
+
 GRID_MAPS = [lambda: _sine_psi(0.1), lambda: _sine_psi(0.4), _cubic_psi,
              lambda: _cubic_psi((0.5, 0.5 + 1e-13 * 2.0 ** 44)), _sqrt_psi,
-             _quintic_psi]
+             _quintic_psi, _flat_sine_psi]
 GRID_MAP_IDS = ["sin0.1", "sin0.4", "cubic", "cubic-ragged-stop", "sqrt-fallback",
-                "quintic-fallback"]
+                "quintic-fallback", "sin-flat-fallback"]
 
 
 # Targets converge at different steps, so a converged entry must stay
 # frozen while the others iterate: the vectorised grid is bit-identical to
 # the inverse called on each node as a scalar, on the Newton path and on
-# the bisection that nodes failing the certificate take.  The name dates
-# from the bisection inverse; the ids are kept so that runs before and
-# after the Newton inverse compare case by case.  Closeness to the root is
-# checked by the mpmath test below.
+# the panel bisection that nodes failing the certificate take (the sqrt
+# and flat sine maps reach it, see the test after the next).  The name
+# dates from the bisection inverse; the ids are kept so that runs before
+# and after the Newton inverse compare case by case.  Closeness to the
+# root is checked by the mpmath test below.
 @pytest.mark.parametrize("make", GRID_MAPS, ids=GRID_MAP_IDS)
 @pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
 def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
@@ -165,7 +186,8 @@ def test_custom_grid_bit_identical_to_scalar_bisection(make, n):
     assert psi.inverse(ends).tolist() == [psi.inverse(ends[0]), psi.inverse(ends[1])]
 
 
-@pytest.mark.parametrize("make", GRID_MAPS, ids=GRID_MAP_IDS)
+@pytest.mark.parametrize("make", GRID_MAPS + [_steep_psi],
+                         ids=GRID_MAP_IDS + ["exp-steep"])
 @pytest.mark.parametrize("n", [1, 2, 17, 512, 4096])
 def test_custom_grid_nodes_certified_by_a_sign_change(make, n):
     # each node is within max(5e-14, 1 ulp) of a sign change of Psi(t) - u
@@ -177,6 +199,24 @@ def test_custom_grid_nodes_certified_by_a_sign_change(make, n):
     d = np.maximum(5e-14, np.spacing(nodes))
     assert np.all(psi.value(np.maximum(nodes - d, lo)) - targets <= 0)
     assert np.all(psi.value(np.minimum(nodes + d, hi)) - targets >= 0)
+
+
+@pytest.mark.parametrize("make,n,bisected", [
+    (_flat_sine_psi, 512, [1]), (_flat_sine_psi, 4096, [1]),
+    (_sqrt_psi, 512, [6]), (_sqrt_psi, 4096, [51]),
+], ids=["sin-flat-512", "sin-flat-4096", "sqrt-512", "sqrt-4096"])
+def test_custom_grid_reaches_the_panel_bisection(make, n, bisected, monkeypatch):
+    # the maps above that are meant to run step 3 of the inverse still do
+    bisect, sizes = psi_maps._bisect_panels, []
+
+    def spy(eval_fn, deriv_fn, table_t, table_u, t):
+        sizes.append(t.size)
+        return bisect(eval_fn, deriv_fn, table_t, table_u, t)
+
+    monkeypatch.setattr(psi_maps, "_bisect_panels", spy)
+    psi = make()
+    build_grid(psi, *psi.domain, n)
+    assert sizes == bisected
 
 
 @pytest.mark.parametrize("make,mp_value", [
@@ -242,7 +282,7 @@ def test_custom_inverse_survives_a_wrong_derivative(deriv_fn):
     targets = np.arange(1, 512) * (u1 / 512)
     eval_fn.calls = 0
     nodes = inverse(targets)
-    assert eval_fn.calls <= 100
+    assert eval_fn.calls <= 41
     # every node is within 1e-13 of a sign change of Psi(t) - u
     assert np.all(eval_fn(np.maximum(nodes - 1e-13, 0.0)) - targets <= 0)
     assert np.all(eval_fn(np.minimum(nodes + 1e-13, 2.0)) - targets >= 0)
@@ -279,7 +319,7 @@ def test_custom_grid_takes_few_calls_with_the_true_derivative():
     psi = make_custom_psi(eval_fn, _sine_deriv, (0.0, 2.0))
     eval_fn.calls = 0
     build_grid(psi, 0.0, 1.0, 4096)
-    assert eval_fn.calls <= 12
+    assert eval_fn.calls <= 6
 
 
 @pytest.mark.parametrize("lo", [300.0, 600.0, -601.0])
@@ -290,7 +330,7 @@ def test_custom_grid_keeps_newton_speed_on_a_far_domain(lo):
     psi = make_custom_psi(eval_fn, _sine_deriv, (lo, lo + 1.0))
     eval_fn.calls = 0
     build_grid(psi, lo, lo + 1.0, 512)
-    assert eval_fn.calls <= 16
+    assert eval_fn.calls <= 6
 
 
 @pytest.mark.parametrize("lo", [600.0, -601.0])
@@ -336,10 +376,44 @@ def test_custom_inverse_rejects_nonfinite_target(target):
 
 def test_custom_inverse_names_target_outside_range():
     psi = _cubic_psi()
-    with pytest.raises(DomainViolation, match="10.5"):
+    with pytest.raises(DomainViolation,
+                       match=r"^inverse target 10\.5 outside range \[0\.0, 10\.0\]$"):
         psi.inverse(np.array([1.0, 10.5]))
-    with pytest.raises(DomainViolation, match="-0.25"):
+    with pytest.raises(DomainViolation, match=r"^inverse target -0\.25 outside range"):
         psi.inverse(-0.25)
+
+
+def test_custom_sine_inverse_takes_three_calls():
+    # table start, one Newton step, a second that ends each target, and
+    # the certificate
+    eval_fn = _counted(lambda t: _as_float(t) + 0.1 * np.sin(t))
+    psi = make_custom_psi(eval_fn, lambda t: 1.0 + 0.1 * np.cos(_as_float(t)),
+                          (0.0, 2.0))
+    targets = np.arange(1, 512) * (float(psi.value(2.0)) / 512)
+    eval_fn.calls = 0
+    psi.inverse(targets)
+    assert eval_fn.calls <= 3
+
+
+@pytest.mark.parametrize("bad_from,bad,first", [
+    (lambda t: t > 1.5, lambda t: np.nan, 1.50390625),
+    (lambda t: t > 1.5, lambda t: np.inf, 1.50390625),
+    (lambda t: t >= 2.0, lambda t: np.inf, 2.0),
+    (lambda t: t <= 0.0, lambda t: -np.inf, 0.0),
+    (lambda t: t > 1.5, lambda t: 3.0 - t, 1.50390625),
+], ids=["nan-inside", "inf-inside", "inf-at-end", "-inf-at-start", "decreasing"])
+def test_custom_map_not_finite_where_sampled_rejected(bad_from, bad, first):
+    # the table at 512 equal panels in t names its first bad sample: on
+    # (1.5, 2] that is t = 1.50390625
+    def eval_fn(t):
+        t = _as_float(t)
+        return np.where(bad_from(t), bad(t), t)
+
+    value = float(eval_fn(first))
+    with pytest.raises(NonMonotone, match=r"not strictly increasing and finite: "
+                                          f"first at t={first!r}, where the value "
+                                          f"is {value!r}$"):
+        make_custom_psi(eval_fn, lambda t: np.ones_like(_as_float(t)), (0.0, 2.0))
 
 
 def test_custom_inverse_keeps_input_shape():
