@@ -19,10 +19,10 @@ summed in double precision with the ratios shared across entries, row
 by row in chunks of 16 rows.  For integer eta the ratio reduces to an
 exact rising factorial, which keeps alternating sums (z < 0) accurate
 despite cancellation; for non-integer eta it goes through log-gamma.
-The term stream owns the e^700 guard: it ends a block before its first
-term past it and raises OverflowGuard when the consumer draws again.  A
-Gamma argument or a Gamma value past the double range ends the ratio
-table the same way, so only a term that a sum reads can raise.
+The term stream owns the one refusal: it ends a block before its first
+term past the e^700 guard or NaN, and raises OverflowGuard when the
+consumer draws again.  A Gamma ratio that cannot be formed is NaN, so
+only a term that a sum reads can raise.
 
 Ratio tables are memoized by their Gamma arguments and step and shared
 read-only across calls and threads, bounded at 256 blocks (least
@@ -145,28 +145,28 @@ def _is_small_positive_int(x: float) -> int | None:
 @functools.lru_cache(maxsize=256, typed=True)
 def _gamma_ratios(args: bytes, step: float) -> np.ndarray:
     """Gamma(x) / Gamma(x + step) at every entry of the float64 array x
-    whose bytes are ``args``, in extended precision.
-
-    Exact rising-factorial form when ``step`` is a small integer; the
-    log-gamma route otherwise, which keeps the prefix of the table before
-    the first entry where a Gamma value or the ratio leaves the double
-    range, or where x + step rounds to x while x^-step does not round to
-    1 (the arguments increase along a block, so that entry and the ones
-    after it are needed only by later terms) and raises OverflowGuard when
-    that prefix is empty.  Requires all arguments positive.
-    The table is memoized (see the module docstring) and read-only; the
-    memo is typed because a float32 step with a float64's value rounds
-    x + step to float32 and so gives another table.
-    """
+    whose bytes are ``args``, in extended precision: an exact rising
+    factorial when ``step`` is a small integer, through log-gamma
+    otherwise.  The arguments increase, so from the first ratio that
+    cannot be formed (x + step not finite, a Gamma value or the ratio
+    past the double range, or x + step rounding to x while x^-step does
+    not round to 1) every entry is NaN, uncomputed; a nonpositive
+    argument before it raises ParamViolation.  The table is memoized
+    (see the module docstring) and read-only; the memo is typed because
+    a float32 step with a float64's value rounds x + step to float32 and
+    so gives another table."""
     x = np.frombuffer(args)
-    bad = (x <= 0) | (x + step <= 0)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(x + step)
+    head = x[:len(x) if finite.all() else int(finite.argmin())]
+    bad = (head <= 0) | (head + step <= 0)
     if bad.any():
         raise ParamViolation(
-            f"Gamma argument hit a nonpositive value ({float(x[bad][0])!r})")
+            f"Gamma argument hit a nonpositive value ({float(head[bad][0])!r})")
     p = _is_small_positive_int(step)
     if p is None:
         ratios = []
-        for v in x.tolist():
+        for v in head.tolist():
             # a step lost to rounding reads the ratio, about v^-step, as 1
             if v + step == v and v ** -step != 1.0:
                 break
@@ -174,21 +174,18 @@ def _gamma_ratios(args: bytes, step: float) -> np.ndarray:
                 ratios.append(math.exp(math.lgamma(v) - math.lgamma(v + step)))
             except OverflowError:
                 break
-        if not ratios:
-            raise OverflowGuard("a Gamma value of the series exceeds the "
-                                "floating-point range")
-        # a double converts to long double exactly, and astype does it
-        # several times faster than np.array(..., dtype=_LD) from a list
-        table = np.array(ratios).astype(_LD)
     else:
-        xi = x.astype(_LD)
+        xi = head.astype(_LD)
         denom = np.ones_like(xi)
         # a product past the extended range is inf, and 1/inf = 0 the right ratio
         with np.errstate(over="ignore"):
             for _ in range(p):
                 denom *= xi
                 xi += 1
-        table = 1.0 / denom
+        ratios = 1.0 / denom
+    table = np.full(len(x), np.nan, dtype=_LD)
+    # a double converts to long double exactly, from an array 5x faster
+    table[:len(ratios)] = np.asarray(ratios)
     table.flags.writeable = False
     return table
 
@@ -226,21 +223,13 @@ def _cut(start: int, terms: np.ndarray):
 
 
 def _ratio_block(gamma_arg, step: float, k: int, size: int) -> np.ndarray:
-    """The ratios of the terms k .. k + size - 1, or of the prefix of them
-    whose Gamma arguments are finite; OverflowGuard if none is."""
-    stop = k - 1 + size
-    # the block's largest Gamma argument, in Python floats so that
-    # reaching inf is seen here and not as a numpy warning below
-    if not math.isfinite(gamma_arg(stop - 1.0) + step):
-        # the arguments increase along the block, so its finite part is
-        # a prefix; keeping only that part raises for a term that is read
-        with np.errstate(over="ignore"):
-            last = gamma_arg(np.arange(k - 1, stop, dtype=float)) + step
-        stop = k - 1 + int(np.isfinite(last).argmin())
-        if stop < k:
-            raise OverflowGuard(
-                "a Gamma argument of the series exceeds the floating-point range")
-    return _gamma_ratios(gamma_arg(np.arange(k - 1, stop, dtype=float)).tobytes(), step)
+    """The ratios of the terms k .. k + size - 1."""
+    j = np.arange(k - 1, k - 1 + size, dtype=float)
+    # increasing arguments are finite when both ends are; numpy warns at inf
+    if math.isfinite(gamma_arg(k - 1.0)) and math.isfinite(gamma_arg(k - 2.0 + size)):
+        return _gamma_ratios(gamma_arg(j).tobytes(), step)
+    with np.errstate(over="ignore"):
+        return _gamma_ratios(gamma_arg(j).tobytes(), step)
 
 
 def _blocks(first: float, z, gamma_arg, step: float):
@@ -262,14 +251,13 @@ def _blocks(first: float, z, gamma_arg, step: float):
     while True:
         ratios = _ratio_block(gamma_arg, step, k, size)
         if vector:
-            ratios = ratios.astype(float).tolist()
-            for i in range(0, len(ratios), _CHUNK):
-                rows = np.empty((len(ratios[i:i + _CHUNK]) + 1,) + z.shape)
+            for i in range(0, size, _CHUNK):
+                rows = np.empty((_CHUNK + 1,) + z.shape)
                 rows[0] = term
-                # rows past an overflowing one are cut off, so their inf
-                # and nan warn nothing
+                # a ratio past the double range casts to inf, and rows past
+                # an overflowing one are cut off, so they warn nothing
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for j, r in enumerate(ratios[i:i + _CHUNK], 1):
+                    for j, r in enumerate(ratios[i:i + _CHUNK].astype(float).tolist(), 1):
                         row = rows[j, ...]  # a view also when z is 0-d
                         np.multiply(rows[j - 1], z, out=row)
                         row *= r
@@ -388,8 +376,8 @@ def kilbas_saigo(eta: float, m: float, l: float, z: float,
     """Kilbas-Saigo function E[eta, m, l](z) by incremental products.
 
     The empty product makes c_0 = 1 for every parameter choice, so
-    E(0) = 1 exactly.  A nonpositive Gamma argument anywhere in the
-    product raises ParamViolation.
+    E(0) = 1 exactly.  A finite nonpositive Gamma argument in the product
+    raises ParamViolation.
     """
     _check_params(z, l, eta=eta, m=m)
     if z == 0.0:

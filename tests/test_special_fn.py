@@ -1,12 +1,13 @@
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 
 from psihilfer import (DomainViolation, MLSeriesParams, OrderParams,
@@ -255,13 +256,13 @@ def test_ks_c2_hand_value():
 
 
 def test_series_past_the_double_range_reads_only_finite_gamma_arguments():
-    # eta*(j*m + l) + 1 is finite for j <= 8 only: the first ratio block
-    # keeps those nine arguments, and only a term that needs j = 9 raises
+    # eta*(j*m + l) + 1 is finite for j <= 8 only: the ratios from j = 9
+    # on are NaN, and only a term that reads one, c_10, raises
     assert ks_coefficients(1.0, 2e307, 0.0, 5).tolist() == \
         [1.0, 1.0, 5.000000000000001e-308, 0.0, 0.0, 0.0]
     assert kilbas_saigo(1.0, 2e307, 0.0, 1e-300) == SeriesResult(1.0, 4, 0.0, True)
     assert ks_coefficients(1.0, 2e307, 0.0, 9)[-1] == 0.0
-    with pytest.raises(OverflowGuard, match="^a Gamma argument of the series "
+    with pytest.raises(OverflowGuard, match="^series term at k=10 "
                                             "exceeds the floating-point range$"):
         ks_coefficients(1.0, 2e307, 0.0, 10)
 
@@ -683,18 +684,18 @@ def test_guard_constant_is_the_last_double_with_log_at_most_700():
 def test_a_gamma_value_past_the_double_range_raises_only_where_it_is_read():
     # eta*(j*m + l) + 1 + eta passes lgamma's range at j = 25, inside the
     # first ratio block: the 25 ratios before it are kept, and the term
-    # that needs it raises
+    # that reads its NaN raises
     assert _outcome(lambda: ks_coefficients(1e304, 1.0, 0.0, 25)) == \
         _outcome(lambda: np.r_[1.0, np.zeros(25)])
-    with pytest.raises(OverflowGuard, match="^a Gamma value of the series"):
+    with pytest.raises(OverflowGuard, match="^series term at k=26 exceeds"):
         ks_coefficients(1e304, 1.0, 0.0, 26)
     # at j = 1 the argument 5e303 + 0.5 rounds to 5e303, so log-gamma
-    # would read the ratio, about 1e-152, as 1: the table ends there too
+    # would read the ratio, about 1e-152, as 1: that ratio is NaN too
     assert list(ks_coefficients(0.5, 1e304, 0.0, 1)) == \
         pytest.approx([1.0, 2.0 / math.sqrt(math.pi)], rel=1e-15)
     for call in (lambda: ks_coefficients(0.5, 1e304, 0.0, 2),
                  lambda: kilbas_saigo(0.5, 1e304, 0.0, 1e-3)):
-        with pytest.raises(OverflowGuard, match="^a Gamma value of the series"):
+        with pytest.raises(OverflowGuard, match="^series term at k=2 exceeds"):
             call()
     # a step lost to rounding where the ratio is 1 to rounding is kept:
     # E[1e-17, 1](0.5) is 1 / (1 - 0.5) to the tolerance
@@ -710,3 +711,88 @@ def test_the_term_stream_ends_a_block_before_its_first_term_past_the_guard():
         assert np.all(np.abs(first.terms) <= _HUGE)
         with pytest.raises(OverflowGuard, match="^series term at k=4 exceeds"):
             next(blocks)
+
+
+def test_a_gamma_argument_at_minus_inf_refuses_the_first_term():
+    # eta*(0*m + l) + 1 is -inf: every ratio is NaN, and c_1, the first
+    # term that reads one, raises OverflowGuard (exit 3) and not
+    # ParamViolation, whether the first block's last argument is -inf,
+    # finite (m = 2e306) or +inf (m = 1e307)
+    for m, l in ((1.0, -1e308), (2e306, -1.7e308), (1e307, -1e308)):
+        with pytest.raises(OverflowGuard, match="^series term at k=1 exceeds"):
+            ks_coefficients(2.0, m, l, 3)
+
+
+@pytest.mark.parametrize("eta,m,k", [
+    (1e304, 1.0, 26),  # log-gamma overflows at j = 25
+    (1.0, 2e307, 10),  # the rising factorial's argument is inf from j = 9
+    (0.5, 1e304, 2),   # the step is lost to rounding at j = 1
+])
+def test_a_table_holding_nan_is_read_only_and_raises_warm_as_cold(eta, m, k):
+    _gamma_ratios.cache_clear()
+    for _ in range(2):  # cold, then warm
+        with pytest.raises(OverflowGuard, match=f"^series term at k={k} exceeds"):
+            ks_coefficients(eta, m, 0.0, 70)
+    assert _gamma_ratios.cache_info().hits == 1
+    with np.errstate(over="ignore"):
+        table = _gamma_ratios((eta * (np.arange(64.0) * m + 0.0) + 1.0).tobytes(), eta)
+    assert _gamma_ratios.cache_info().hits == 2
+    assert np.isnan(table).tolist() == [False] * (k - 1) + [True] * (65 - k)
+    with pytest.raises(ValueError, match="read-only"):
+        table[k - 1] = 0.0
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.0])
+def test_an_array_sum_refuses_a_ratio_past_the_double_range_silently(eta):
+    # Gamma(nu) / Gamma(nu + eta) at nu = 1e-320 is about 1e320, a long
+    # double past the range of the double-precision array sum
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowGuard, match="^series term at k=1 exceeds"):
+            ml2_array(eta, 1e-320, np.array([0.5]))
+    assert not caught
+    # the scalar sum holds the ratio in extended precision: 0.5 e^0.5
+    assert mittag_leffler2(1.0, 1e-320, 0.5).value == \
+        pytest.approx(0.5 * math.exp(0.5), rel=1e-15)
+
+
+# -- the evaluators' contract -------------------------------------------------
+#
+# Every series evaluator returns a finite value or raises the library's
+# error, and warns nothing, at any finite order, shift and argument.
+
+_ORDERS = st.one_of(st.floats(0.05, 3.0),
+                    st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+                    st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+_ARGS = st.one_of(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-10.0, 4.0)).map(
+        lambda s_e: s_e[0] * 10.0 ** s_e[1]),
+    st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308, 5e-324, -5e-324]))
+CONTRACT_CALLS = {
+    "mittag_leffler2": lambda eta, b, l, zs, n: mittag_leffler2(eta, b, zs[0]),
+    "kilbas_saigo": lambda eta, b, l, zs, n: kilbas_saigo(eta, b, l, zs[0]),
+    "ml2_array": lambda eta, b, l, zs, n: ml2_array(eta, b, np.array(zs)),
+    "ks_array": lambda eta, b, l, zs, n: ks_array(eta, b, l, np.array(zs)),
+    "ml2_tail_sums": lambda eta, b, l, zs, n: ml2_tail_sums(eta, b, abs(zs[0]), n),
+    "ks_coefficients": lambda eta, b, l, zs, n: ks_coefficients(eta, b, l, n),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+# a long-double ratio past the double range, cast for the array sum
+@example("ml2_array", 1.0, 1e-320, 0.0, [0.5], 0)
+# a Gamma argument at -inf opening a block whose last argument is finite
+@example("ks_coefficients", 2.0, 2e306, -1.7e308, [1.0], 3)
+@given(st.sampled_from(sorted(CONTRACT_CALLS)), _ORDERS, _ORDERS, _ARGS,
+       st.lists(_ARGS, min_size=1, max_size=3), st.sampled_from([0, 1, 3, 70]))
+def test_series_evaluators_return_finite_values_or_raise_the_library_error(
+        name, eta, b, l, zs, count):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            r = CONTRACT_CALLS[name](eta, b, l, zs, count)
+        except PsiHilferError:
+            r = None
+    assert not [str(w.message) for w in caught]
+    if r is not None:
+        assert np.all(np.isfinite(r.value if isinstance(r, SeriesResult) else r))
